@@ -11,21 +11,13 @@
 //!   lookup is a direct-indexed scan of the holder's label only.
 //!
 //! The scatter variant removes the `t·|C(s)|` repeated root-side label
-//! walks per root, which is where the ≥2× comes from.
-//!
-//! The `one_to_many_storage` group (PR 3, extended in PR 4) runs the
-//! same scatter root scan against **every** label storage backend — flat
-//! CSR or delta+varint hub ranks × flat `f64` or dictionary-coded
-//! distances — and prints each backend's byte footprint and compression
-//! ratio to stderr. Results are bit-identical (asserted in-bench); the
-//! group measures the pure decode cost each backend pays on the scan,
-//! against the memory it saves.
+//! walks per root, which is where the ≥2× comes from. Both scans must
+//! sum to the same bits before either is timed (asserted in-bench), so
+//! a smoke run checks answers, not just speed.
 
 use atd_bench::{project, testbed};
 use atd_core::skills::Project;
-use atd_distance::{
-    BuildConfig as PllBuildConfig, LabelStorage, PrunedLandmarkLabeling, SourceScatter, VertexOrder,
-};
+use atd_distance::{PrunedLandmarkLabeling, SourceScatter};
 use atd_graph::NodeId;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -56,30 +48,22 @@ fn bench_root_scan(c: &mut Criterion) {
     let holders = holder_lists(&p);
     let n = g.num_nodes();
 
+    // Both mechanisms must answer bit-identically before timing means
+    // anything.
+    let merged = merge_join_root_scan(&pll, &holders, n);
+    let scattered = scatter_root_scan(&pll, &mut pll.scatter(), &holders, n);
+    assert_eq!(
+        scattered.to_bits(),
+        merged.to_bits(),
+        "scatter root scan diverged from the merge-join scan"
+    );
+
     let mut group = c.benchmark_group("one_to_many");
     group.sample_size(20);
 
     // Baseline: every DIST is an independent pairwise merge-join.
     group.bench_function("root_scan/merge_join", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for r in 0..n {
-                let root = NodeId::from_index(r);
-                for hs in &holders {
-                    let mut best = f64::INFINITY;
-                    for &v in hs {
-                        let d = pll.query_raw(root, v);
-                        if d < best {
-                            best = d;
-                        }
-                    }
-                    if best.is_finite() {
-                        acc += best;
-                    }
-                }
-            }
-            black_box(acc)
-        })
+        b.iter(|| black_box(merge_join_root_scan(&pll, &holders, n)))
     });
 
     // One-to-many: scatter the root once, scan holder labels directly.
@@ -91,9 +75,31 @@ fn bench_root_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The root scan with every `DIST(root, v)` answered by an independent
+/// pairwise merge-join — the same sums, in the same order, as
+/// [`scatter_root_scan`].
+fn merge_join_root_scan(pll: &PrunedLandmarkLabeling, holders: &[Vec<NodeId>], n: usize) -> f64 {
+    let mut acc = 0.0f64;
+    for r in 0..n {
+        let root = NodeId::from_index(r);
+        for hs in holders {
+            let mut best = f64::INFINITY;
+            for &v in hs {
+                let d = pll.query_raw(root, v);
+                if d < best {
+                    best = d;
+                }
+            }
+            if best.is_finite() {
+                acc += best;
+            }
+        }
+    }
+    acc
+}
+
 /// Runs the scatter root scan against one index — the canonical
-/// one-to-many loop, shared by every scatter benchmark so all variants
-/// measure identical work. The scratch is caller-owned and reused across
+/// one-to-many loop. The scratch is caller-owned and reused across
 /// iterations, per the `SourceScatter` contract.
 fn scatter_root_scan(
     pll: &PrunedLandmarkLabeling,
@@ -122,70 +128,6 @@ fn scatter_root_scan(
     acc
 }
 
-/// Every label storage backend under the identical scatter root scan:
-/// the query-time delta each compressed/dict plane pays for its smaller
-/// footprint.
-fn bench_storage(c: &mut Criterion) {
-    let tb = testbed();
-    let g = &tb.net.graph;
-    let indices: Vec<(&str, PrunedLandmarkLabeling)> = LabelStorage::ALL
-        .iter()
-        .map(|&storage| {
-            let pll = PrunedLandmarkLabeling::build_with_config(
-                g,
-                VertexOrder::DegreeDescending,
-                &PllBuildConfig {
-                    storage,
-                    ..PllBuildConfig::default()
-                },
-            );
-            (storage.name(), pll)
-        })
-        .collect();
-    let csr = indices[0].1.stats();
-    eprintln!(
-        "one_to_many_storage testbed: {} nodes, {} entries",
-        g.num_nodes(),
-        csr.total_entries,
-    );
-    for (name, pll) in &indices {
-        let s = pll.stats();
-        eprintln!(
-            "  {:>15}: {:>5} KiB ({:>5.1}% of csr; {}; {} dict values)",
-            name,
-            s.bytes / 1024,
-            100.0 * s.bytes as f64 / csr.bytes as f64,
-            s.breakdown_kib(),
-            s.dict_values,
-        );
-    }
-
-    let p = project(6, 42);
-    let holders = holder_lists(&p);
-    let n = g.num_nodes();
-
-    // Results must be bit-identical before timing means anything.
-    let reference = scatter_root_scan(&indices[0].1, &mut indices[0].1.scatter(), &holders, n);
-    for (name, pll) in &indices[1..] {
-        let got = scatter_root_scan(pll, &mut pll.scatter(), &holders, n);
-        assert_eq!(
-            got.to_bits(),
-            reference.to_bits(),
-            "{name} root scan diverged from csr"
-        );
-    }
-
-    let mut group = c.benchmark_group("one_to_many_storage");
-    group.sample_size(20);
-    for (name, pll) in &indices {
-        let mut scatter = pll.scatter();
-        group.bench_function(format!("root_scan/{name}"), |b| {
-            b.iter(|| black_box(scatter_root_scan(pll, &mut scatter, &holders, n)))
-        });
-    }
-    group.finish();
-}
-
 /// End-to-end check that the speedup survives the full engine: `top_k`
 /// through `Discovery` (scan + materialization + scoring).
 fn bench_engine_top_k(c: &mut Criterion) {
@@ -206,5 +148,5 @@ fn bench_engine_top_k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_root_scan, bench_storage, bench_engine_top_k);
+criterion_group!(benches, bench_root_scan, bench_engine_top_k);
 criterion_main!(benches);

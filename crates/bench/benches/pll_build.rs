@@ -18,9 +18,7 @@
 
 use atd_dblp::graph_build::{BuildConfig, ExpertNetwork};
 use atd_dblp::synth::{SynthConfig, SynthCorpus};
-use atd_distance::{
-    BuildConfig as PllBuildConfig, LabelStorage, PrunedLandmarkLabeling, VertexOrder,
-};
+use atd_distance::{BuildConfig as PllBuildConfig, PrunedLandmarkLabeling, VertexOrder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -60,20 +58,15 @@ fn bench_pll_build_config(c: &mut Criterion) {
     );
     let stats = seq.stats();
     eprintln!(
-        "pll_build testbed: {} nodes, {} entries, avg label {:.1}, max label {}",
-        stats.nodes, stats.total_entries, stats.avg_entries, stats.max_entries,
+        "pll_build testbed: {} nodes, {} entries, avg label {:.1}, max label {}, \
+         {} KiB ({})",
+        stats.nodes,
+        stats.total_entries,
+        stats.avg_entries,
+        stats.max_entries,
+        stats.bytes / 1024,
+        stats.breakdown_kib(),
     );
-    for storage in LabelStorage::ALL {
-        let s = seq.labels().stats_in(storage);
-        eprintln!(
-            "  {:>15}: {:>5} KiB ({:>5.1}% of csr; {}; {} dict values)",
-            storage.name(),
-            s.bytes / 1024,
-            100.0 * s.bytes as f64 / stats.bytes as f64,
-            s.breakdown_kib(),
-            s.dict_values,
-        );
-    }
     let par = PrunedLandmarkLabeling::build_with_config(
         &g,
         VertexOrder::DegreeDescending,
@@ -85,29 +78,16 @@ fn bench_pll_build_config(c: &mut Criterion) {
     );
     // The whole point of the design: any config, same bits.
     assert_eq!(par.stats(), seq.stats(), "parallel build must be identical");
-    for storage in [LabelStorage::CsrDict, LabelStorage::CompressedDict] {
-        let dict = PrunedLandmarkLabeling::build_with_config(
-            &g,
-            VertexOrder::DegreeDescending,
-            &PllBuildConfig {
-                storage,
-                ..PllBuildConfig::sequential()
-            },
+    for v in 0..g.num_nodes() {
+        let (a, b) = (seq.labels().of(v), par.labels().of(v));
+        assert_eq!(a.hub_ranks, b.hub_ranks, "rank plane at {v}");
+        assert!(
+            a.dists
+                .iter()
+                .zip(b.dists)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "dist bits at {v}"
         );
-        assert_eq!(dict.stats().total_entries, stats.total_entries);
-        for v in 0..g.num_nodes() {
-            let a: Vec<_> = seq.labels().entries(v).collect();
-            let b: Vec<_> = dict.labels().entries(v).collect();
-            assert_eq!(a.len(), b.len(), "{storage:?} label length at {v}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.hub_rank, y.hub_rank, "{storage:?} rank at {v}");
-                assert_eq!(
-                    x.dist.to_bits(),
-                    y.dist.to_bits(),
-                    "{storage:?} dist bits at {v}"
-                );
-            }
-        }
     }
     let prof = par.build_profile();
     eprintln!(
@@ -132,27 +112,6 @@ fn bench_pll_build_config(c: &mut Criterion) {
     group.sample_size(10);
     let configs: &[(&str, PllBuildConfig)] = &[
         ("seq", PllBuildConfig::sequential()),
-        (
-            "seq_compressed",
-            PllBuildConfig {
-                storage: LabelStorage::Compressed,
-                ..PllBuildConfig::sequential()
-            },
-        ),
-        (
-            "seq_csr_dict",
-            PllBuildConfig {
-                storage: LabelStorage::CsrDict,
-                ..PllBuildConfig::sequential()
-            },
-        ),
-        (
-            "seq_compressed_dict",
-            PllBuildConfig {
-                storage: LabelStorage::CompressedDict,
-                ..PllBuildConfig::sequential()
-            },
-        ),
         (
             "par_t2_b64",
             PllBuildConfig {

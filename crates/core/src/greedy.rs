@@ -49,8 +49,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use atd_distance::{
-    BuildConfig as PllBuildConfig, BuildProfile, IncrementalError, IncrementalReport,
-    IndexLoadMode, LabelStats, PrunedLandmarkLabeling, RetryPolicy, SourceScatter, VertexOrder,
+    BuildConfig as PllBuildConfig, BuildProfile, IncrementalError, IncrementalReport, LabelStats,
+    PrunedLandmarkLabeling, RetryPolicy, SourceScatter, VertexOrder,
 };
 use atd_graph::{dijkstra_with_targets, ExpertGraph, NodeId, SubTree};
 
@@ -83,21 +83,18 @@ pub struct DiscoveryOptions {
     /// bench).
     pub prune_dangling_connectors: bool,
     /// PLL index construction settings: worker threads + rank-batch size
-    /// for the batch-synchronous parallel builder, plus the label storage
-    /// backend (flat CSR or delta+varint hub ranks × flat `f64` or
-    /// dictionary-coded distances — `LabelStorage::{Csr, Compressed,
-    /// CsrDict, CompressedDict}`). The produced labels are bit-identical
-    /// regardless, so threads/batch only tune cold-start time and storage
-    /// only trades index memory against per-entry decode work on the
-    /// scan.
+    /// for the batch-synchronous parallel builder, and the hub budget of
+    /// incremental refreshes. The produced labels are bit-identical for
+    /// every thread count and batch size, so these only tune cold-start
+    /// and refresh time.
     pub pll_build: PllBuildConfig,
     /// Load-or-build persistence for the base (CC) PLL index. When set,
     /// engine construction first tries to load the index from this path;
     /// a file whose snapshot fingerprint matches the normalized graph
-    /// (and whose backend matches `pll_build.storage`) skips the build
-    /// entirely — restart cost becomes `O(index bytes)`. A missing,
-    /// stale, corrupt, or differently-encoded file triggers the normal
-    /// build, whose result is then saved to this path for the next start.
+    /// skips the build entirely — restart cost becomes `O(index bytes)`.
+    /// A missing, stale, corrupt, or foreign-format file (format v1, or a
+    /// storage tag other than flat CSR) triggers the normal build, whose
+    /// result is then saved to this path for the next start.
     /// Loaded and built indexes are bit-identical, so discovery results
     /// never depend on which path ran. Transformed (γ) indexes get the
     /// same treatment via per-γ sidecar files next to this path (see
@@ -108,24 +105,12 @@ pub struct DiscoveryOptions {
     pub pll_index_path: Option<PathBuf>,
     /// With `pll_index_path` set, require the index to **load** — never
     /// fall back to a rebuild. A missing, stale, corrupt, or
-    /// wrong-backend file surfaces as [`DiscoveryError::IndexLoad`]
+    /// foreign-format file surfaces as [`DiscoveryError::IndexLoad`]
     /// instead of silently paying a build. This is the snapshot-swap
     /// contract of a serving layer: a background reload must *fail*
     /// (keeping the old snapshot) rather than block a swap thread on an
     /// unplanned multi-second rebuild.
     pub pll_load_only: bool,
-    /// How `pll_index_path` loads materialize the index:
-    /// [`IndexLoadMode::Owned`] (default) decodes the file into owned
-    /// storage with full structural validation, while
-    /// [`IndexLoadMode::Mmap`] memory-maps it and borrows the label
-    /// planes straight from the page cache — zero decode, zero copy for
-    /// format-v2 files (v1 files transparently fall back to the owned
-    /// decode). Queries are bit-identical either way; mmap trades load
-    /// time and private RSS for checksum-level (rather than per-entry)
-    /// validation and query-time page-ins. Applies to the base index and
-    /// the per-γ sidecars alike; saves are unaffected (a save from an
-    /// mmap-loaded engine copies on write, never touching the mapping).
-    pub pll_load_mode: IndexLoadMode,
     /// Retry policy for the persistence I/O of the cold start (the
     /// index load, and the save-after-build). Only transient I/O errors
     /// are retried; structural failures (stale/corrupt files) keep
@@ -145,7 +130,6 @@ impl Default for DiscoveryOptions {
             pll_build: PllBuildConfig::default(),
             pll_index_path: None,
             pll_load_only: false,
-            pll_load_mode: IndexLoadMode::default(),
             pll_retry: RetryPolicy::default(),
         }
     }
@@ -172,8 +156,7 @@ impl RankingContext {
     }
 
     /// The load-or-build cold start: load the index from `path` when its
-    /// snapshot fingerprint matches `graph` and its storage backend
-    /// matches `options.pll_build.storage`; otherwise build normally and
+    /// snapshot fingerprint matches `graph`; otherwise build normally and
     /// save the result to `path`. Both the load and the save run under
     /// `options.pll_retry` (transient I/O retried with capped backoff).
     ///
@@ -184,23 +167,6 @@ impl RankingContext {
     /// a successful build degrades to a recorded warning (the second
     /// tuple element) — the in-memory index is fine, so a read-only
     /// index directory must not kill the run.
-    /// [`DiscoveryOptions::pll_load_mode`] dispatch: decode into owned
-    /// storage or memory-map and borrow, under the same retry policy.
-    fn load_index(
-        path: &Path,
-        graph: &ExpertGraph,
-        options: &DiscoveryOptions,
-    ) -> Result<PrunedLandmarkLabeling, atd_distance::PersistError> {
-        match options.pll_load_mode {
-            IndexLoadMode::Owned => {
-                PrunedLandmarkLabeling::load_from_with_retry(path, graph, &options.pll_retry)
-            }
-            IndexLoadMode::Mmap => {
-                PrunedLandmarkLabeling::load_mmap_with_retry(path, graph, &options.pll_retry)
-            }
-        }
-    }
-
     fn load_or_build(
         graph: ExpertGraph,
         options: &DiscoveryOptions,
@@ -210,9 +176,8 @@ impl RankingContext {
         // next to the index (dead-writer-only, so a concurrent saver in
         // another process is never raced).
         atd_distance::persist::sweep_orphaned_tmp(path);
-        let config = &options.pll_build;
-        match Self::load_index(path, &graph, options) {
-            Ok(pll) if pll.storage() == config.storage => {
+        match PrunedLandmarkLabeling::load_from_with_retry(path, &graph, &options.pll_retry) {
+            Ok(pll) => {
                 return Ok((
                     RankingContext {
                         graph,
@@ -222,23 +187,15 @@ impl RankingContext {
                     None,
                 ));
             }
-            Ok(pll) if options.pll_load_only => {
-                return Err(DiscoveryError::IndexLoad(format!(
-                    "{}: storage backend mismatch (file has {:?}, engine wants {:?})",
-                    path.display(),
-                    pll.storage(),
-                    config.storage
-                )));
-            }
             Err(e) if options.pll_load_only => {
                 return Err(DiscoveryError::IndexLoad(format!(
                     "{} ({e})",
                     path.display()
                 )));
             }
-            Ok(_) | Err(_) => {}
+            Err(_) => {}
         }
-        let ctx = RankingContext::build(graph, config);
+        let ctx = RankingContext::build(graph, &options.pll_build);
         let warning = ctx
             .pll
             .save_to_with_retry(path, &ctx.graph, &options.pll_retry)
@@ -256,19 +213,19 @@ impl RankingContext {
     /// Sidecar variant of the cold start used for transformed (γ)
     /// indexes — infallible by design. γ contexts are derived data, so
     /// `pll_load_only` strictness stays a base-index contract: any load
-    /// failure (missing, stale, corrupt, wrong backend) falls back to
+    /// failure (missing, stale, corrupt, foreign format) falls back to
     /// the build, and the save-after-build is best-effort (a read-only
     /// index directory must not poison an otherwise healthy query path).
     fn load_or_build_sidecar(graph: ExpertGraph, options: &DiscoveryOptions, path: &Path) -> Self {
         atd_distance::persist::sweep_orphaned_tmp(path);
-        if let Ok(pll) = Self::load_index(path, &graph, options) {
-            if pll.storage() == options.pll_build.storage {
-                return RankingContext {
-                    graph,
-                    pll,
-                    loaded_from_disk: true,
-                };
-            }
+        if let Ok(pll) =
+            PrunedLandmarkLabeling::load_from_with_retry(path, &graph, &options.pll_retry)
+        {
+            return RankingContext {
+                graph,
+                pll,
+                loaded_from_disk: true,
+            };
         }
         let ctx = RankingContext::build(graph, &options.pll_build);
         let _ = ctx
@@ -504,8 +461,7 @@ impl Discovery {
     }
 
     /// Label statistics of the base (CC) distance index, including the
-    /// physical byte footprint of the configured storage backend
-    /// (`DiscoveryOptions::pll_build.storage`).
+    /// byte footprint of its label planes.
     pub fn pll_stats(&self) -> LabelStats {
         self.base.pll.stats()
     }
@@ -516,16 +472,6 @@ impl Discovery {
     /// missing/stale/corrupt (all of which trigger a build-and-save).
     pub fn pll_index_loaded(&self) -> bool {
         self.base.loaded_from_disk
-    }
-
-    /// Whether the base (CC) index's label planes are borrowed from a
-    /// memory-mapped index file instead of owned — `true` only when the
-    /// engine loaded a format-v2 file under
-    /// [`IndexLoadMode::Mmap`](DiscoveryOptions::pll_load_mode). Every
-    /// mutation path (incremental refresh, checkpoint saves) copies on
-    /// write, so a `true` here never means the file itself is at risk.
-    pub fn pll_index_zero_copy(&self) -> bool {
-        self.base.pll.labels().is_zero_copy()
     }
 
     /// The warning recorded when the cold start built the index but
@@ -1345,119 +1291,11 @@ mod tests {
     }
 
     #[test]
-    fn compressed_label_storage_yields_identical_teams() {
-        // The compressed backend answers every DIST query bit-identically
-        // to the CSR backend, so top-k discovery must match exactly —
-        // same member sets, same objective bits, same algorithm-cost bits.
-        use atd_distance::LabelStorage;
-        let (g, idx, sn, tm) = figure1();
-        let project = Project::new(vec![sn, tm]);
-        let csr = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let comp = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(1),
-                pll_build: PllBuildConfig {
-                    storage: LabelStorage::Compressed,
-                    ..PllBuildConfig::default()
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (sa, sb) = (csr.pll_stats(), comp.pll_stats());
-        assert_eq!(sa.total_entries, sb.total_entries);
-        for strategy in [
-            Strategy::Cc,
-            Strategy::CaCc { gamma: 0.6 },
-            Strategy::SaCaCc {
-                gamma: 0.6,
-                lambda: 0.6,
-            },
-        ] {
-            let a = csr.top_k(&project, strategy, 3).unwrap();
-            let b = comp.top_k(&project, strategy, 3).unwrap();
-            assert_eq!(a.len(), b.len(), "{strategy}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.team.member_key(), y.team.member_key());
-                assert_eq!(x.objective.to_bits(), y.objective.to_bits());
-                assert_eq!(x.algorithm_cost.to_bits(), y.algorithm_cost.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn dict_label_storage_yields_identical_teams() {
-        // The dictionary distance plane decodes every distance to the
-        // identical f64 bit pattern, so top-k discovery through either
-        // dict backend must match the CSR engine exactly — same member
-        // sets, same objective bits, same algorithm-cost bits.
-        use atd_distance::LabelStorage;
-        let (g, idx, sn, tm) = figure1();
-        let project = Project::new(vec![sn, tm]);
-        let csr = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for storage in [LabelStorage::CsrDict, LabelStorage::CompressedDict] {
-            let dict = Discovery::with_options(
-                g.clone(),
-                idx.clone(),
-                DiscoveryOptions {
-                    threads: Some(1),
-                    pll_build: PllBuildConfig {
-                        storage,
-                        ..PllBuildConfig::default()
-                    },
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let (sa, sb) = (csr.pll_stats(), dict.pll_stats());
-            assert_eq!(sa.total_entries, sb.total_entries);
-            assert!(sb.dict_values > 0, "{storage:?} must carry a table");
-            assert_eq!(sb.dict_bytes, 8 * sb.dict_values);
-            for strategy in [
-                Strategy::Cc,
-                Strategy::CaCc { gamma: 0.6 },
-                Strategy::SaCaCc {
-                    gamma: 0.6,
-                    lambda: 0.6,
-                },
-            ] {
-                let a = csr.top_k(&project, strategy, 3).unwrap();
-                let b = dict.top_k(&project, strategy, 3).unwrap();
-                assert_eq!(a.len(), b.len(), "{storage:?} {strategy}");
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.team.member_key(), y.team.member_key());
-                    assert_eq!(x.objective.to_bits(), y.objective.to_bits());
-                    assert_eq!(x.algorithm_cost.to_bits(), y.algorithm_cost.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn persisted_index_round_trip_yields_identical_teams() {
         // Build-and-save, then load-or-build again from the same path:
         // the second engine must load (not rebuild) and answer every
         // top-k query bit-identically; a *different* graph against the
         // same path must be detected as stale and rebuild.
-        use atd_distance::LabelStorage;
         let dir = std::env::temp_dir().join(format!(
             "atd_persist_greedy_{}_{:?}",
             std::process::id(),
@@ -1466,43 +1304,36 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
-        for storage in LabelStorage::ALL {
-            let path = dir.join(format!("index-{}.atdl", storage.name()));
-            let opts = || DiscoveryOptions {
-                threads: Some(1),
-                pll_build: PllBuildConfig {
-                    storage,
-                    ..PllBuildConfig::default()
-                },
-                pll_index_path: Some(path.clone()),
-                ..Default::default()
-            };
-            let first = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
-            assert!(!first.pll_index_loaded(), "{storage:?}: no file yet");
-            assert!(path.exists(), "{storage:?}: build must have saved");
-            let second = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
-            assert!(second.pll_index_loaded(), "{storage:?}: must load");
-            assert_eq!(second.pll_stats(), first.pll_stats(), "{storage:?}");
-            for strategy in [
-                Strategy::Cc,
-                Strategy::SaCaCc {
-                    gamma: 0.6,
-                    lambda: 0.6,
-                },
-            ] {
-                let a = first.top_k(&project, strategy, 3).unwrap();
-                let b = second.top_k(&project, strategy, 3).unwrap();
-                assert_eq!(a.len(), b.len(), "{storage:?} {strategy}");
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.team.member_key(), y.team.member_key());
-                    assert_eq!(x.objective.to_bits(), y.objective.to_bits());
-                    assert_eq!(x.algorithm_cost.to_bits(), y.algorithm_cost.to_bits());
-                }
+        let path = dir.join("index.atdl");
+        let opts = || DiscoveryOptions {
+            threads: Some(1),
+            pll_index_path: Some(path.clone()),
+            ..Default::default()
+        };
+        let first = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
+        assert!(!first.pll_index_loaded(), "no file yet");
+        assert!(path.exists(), "build must have saved");
+        let second = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
+        assert!(second.pll_index_loaded(), "must load");
+        assert_eq!(second.pll_stats(), first.pll_stats());
+        for strategy in [
+            Strategy::Cc,
+            Strategy::SaCaCc {
+                gamma: 0.6,
+                lambda: 0.6,
+            },
+        ] {
+            let a = first.top_k(&project, strategy, 3).unwrap();
+            let b = second.top_k(&project, strategy, 3).unwrap();
+            assert_eq!(a.len(), b.len(), "{strategy}");
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.team.member_key(), y.team.member_key());
+                assert_eq!(x.objective.to_bits(), y.objective.to_bits());
+                assert_eq!(x.algorithm_cost.to_bits(), y.algorithm_cost.to_bits());
             }
         }
-        // Same path, different snapshot: the saved csr index must be
+        // Same path, different snapshot: the saved index must be
         // rejected as stale and transparently rebuilt (and re-saved).
-        let path = dir.join("index-csr.atdl");
         let mut b2 = GraphBuilder::new();
         let x = b2.add_node(1.0);
         let y = b2.add_node(2.0);
@@ -1528,10 +1359,11 @@ mod tests {
 
     #[test]
     fn storage_mismatch_on_disk_triggers_rebuild_in_requested_backend() {
-        // A file saved in one backend must not satisfy an engine asking
-        // for another: the index is rebuilt (and re-saved) in the
-        // requested storage.
-        use atd_distance::LabelStorage;
+        // CSR is the only backend an engine requests. A file carrying the
+        // tag of a retired label layout (1–3 were the compressed and
+        // dictionary layouts) is rejected with a typed error: a plain cold
+        // start rebuilds and re-saves in CSR, while load-only mode
+        // surfaces the failure instead of rebuilding.
         let dir = std::env::temp_dir().join(format!(
             "atd_persist_storage_{}_{:?}",
             std::process::id(),
@@ -1540,22 +1372,31 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.atdl");
         let (g, idx, _, _) = figure1();
-        let mk = |storage| DiscoveryOptions {
+        let mk = |load_only| DiscoveryOptions {
             threads: Some(1),
-            pll_build: PllBuildConfig {
-                storage,
-                ..PllBuildConfig::default()
-            },
             pll_index_path: Some(path.clone()),
+            pll_load_only: load_only,
+            pll_retry: RetryPolicy::none(),
             ..Default::default()
         };
-        let _csr = Discovery::with_options(g.clone(), idx.clone(), mk(LabelStorage::Csr)).unwrap();
-        let dict =
-            Discovery::with_options(g.clone(), idx.clone(), mk(LabelStorage::CompressedDict))
-                .unwrap();
-        assert!(!dict.pll_index_loaded(), "backend mismatch must rebuild");
-        let again = Discovery::with_options(g, idx, mk(LabelStorage::CompressedDict)).unwrap();
-        assert!(again.pll_index_loaded(), "re-saved backend must load");
+        let _csr = Discovery::with_options(g.clone(), idx.clone(), mk(false)).unwrap();
+        let csr_bytes = std::fs::read(&path).unwrap();
+        for tag in [1u8, 2, 3] {
+            let mut bytes = csr_bytes.clone();
+            bytes[6] = tag; // the header's storage tag byte
+            std::fs::write(&path, &bytes).unwrap();
+            match Discovery::with_options(g.clone(), idx.clone(), mk(true)) {
+                Err(DiscoveryError::IndexLoad(msg)) => {
+                    assert!(msg.contains("storage tag"), "tag {tag}: {msg}")
+                }
+                other => panic!("tag {tag} in load-only mode: {:?}", other.err()),
+            }
+            let rebuilt = Discovery::with_options(g.clone(), idx.clone(), mk(false)).unwrap();
+            assert!(!rebuilt.pll_index_loaded(), "tag {tag} must rebuild");
+            assert_eq!(std::fs::read(&path).unwrap(), csr_bytes, "re-saved as CSR");
+        }
+        let again = Discovery::with_options(g, idx, mk(true)).unwrap();
+        assert!(again.pll_index_loaded(), "re-saved index must load");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,7 +45,6 @@ pub mod team;
 pub mod topk;
 pub mod transform;
 
-pub use atd_distance::IndexLoadMode;
 pub use cancel::CancelToken;
 pub use error::DiscoveryError;
 pub use exact::{ExactConfig, ExactTeamFinder};

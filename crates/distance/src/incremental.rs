@@ -6,8 +6,7 @@
 //! index, the old graph, and the new graph, [`refresh`] re-runs the
 //! pruned search for only the hubs whose label plane can have changed,
 //! diffs each re-searched plane against the stored one, and patches the
-//! touched per-node labels in place across every
-//! [`LabelStorage`](crate::codec::LabelStorage) backend.
+//! touched per-node labels in place.
 //!
 //! ## Bit-identical by construction
 //!
@@ -31,8 +30,9 @@
 //!    settled identically before, and that node (or its emitted
 //!    predecessor) pins the hub into one of the enqueued sets.
 //! 3. Unqueued hubs therefore keep planes identical to the sequential
-//!    build, and the per-backend `patched` hooks re-encode exactly the
-//!    dirty nodes through the same single write paths construction uses.
+//!    build, and [`LabelSet::patched`](crate::label::LabelSet) re-emits
+//!    exactly the dirty nodes into the same CSR layout construction
+//!    produces.
 //!
 //! Deltas the scheme cannot replay cheaply (node additions, edge
 //! removals, weight increases, vertex-order changes, or blast radii past
@@ -45,7 +45,6 @@ use std::time::Instant;
 
 use atd_graph::{ExpertGraph, NodeId};
 
-use crate::codec::LabelStore;
 use crate::label::LabelEntry;
 use crate::oracle::DistanceOracle;
 use crate::order::{compute_order, VertexOrder};
@@ -249,7 +248,7 @@ pub fn default_hub_budget(n: usize) -> usize {
 /// `new_graph`, re-searching only affected hubs and patching only dirty
 /// node labels. The result is bit-identical to
 /// [`PrunedLandmarkLabeling::build_with_config`] on `new_graph` — same
-/// entries, same storage bytes — or an [`IncrementalError`] when the
+/// entries, same label planes — or an [`IncrementalError`] when the
 /// delta is outside the scheme (caller rebuilds).
 ///
 /// `new_graph` may only add edges or lower weights relative to
@@ -423,14 +422,9 @@ pub fn refresh(
     }
 
     dirty_nodes.sort_unstable();
-    let store = match pll.labels() {
-        LabelStore::Csr(l) => LabelStore::Csr(l.patched(&work, &dirty_nodes)),
-        LabelStore::Compressed(l) => LabelStore::Compressed(l.patched(&work, &dirty_nodes)),
-        LabelStore::CsrDict(l) => LabelStore::CsrDict(l.patched(&work, &dirty_nodes)),
-        LabelStore::CompressedDict(l) => LabelStore::CompressedDict(l.patched(&work, &dirty_nodes)),
-    };
+    let labels = pll.labels().patched(&work, &dirty_nodes);
     Ok((
-        PrunedLandmarkLabeling::from_loaded_store(store, start.elapsed()),
+        PrunedLandmarkLabeling::from_loaded_store(labels, start.elapsed()),
         IncrementalReport {
             affected_hubs: processed,
             patched_nodes: dirty_nodes.len(),
@@ -470,7 +464,6 @@ fn patch_label(list: &mut Vec<LabelEntry>, r: u32, dist: Option<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::LabelStorage;
     use atd_graph::GraphBuilder;
 
     fn grid(rows: usize, cols: usize) -> ExpertGraph {
@@ -526,30 +519,19 @@ mod tests {
 
     #[test]
     fn lowered_edge_is_bit_identical_on_all_backends() {
+        // The flat CSR `LabelSet` is the one label backend.
         let old = grid(5, 5);
         let new = reweighted(&old, NodeId(0), NodeId(1), 0.25);
-        for storage in LabelStorage::ALL {
-            let config = BuildConfig {
-                storage,
-                ..BuildConfig::sequential()
-            };
-            let pll = PrunedLandmarkLabeling::build_with_config(
-                &old,
-                VertexOrder::DegreeDescending,
-                &config,
-            );
-            let (inc, report) =
-                refresh(&pll, &old, &new, VertexOrder::DegreeDescending, &config).unwrap();
-            let scratch = PrunedLandmarkLabeling::build_with_config(
-                &new,
-                VertexOrder::DegreeDescending,
-                &config,
-            );
-            assert!(report.affected_hubs > 0);
-            assert!(!report.unchanged);
-            assert_eq!(inc.storage(), storage);
-            assert_stores_identical(&inc, &scratch, storage.name());
-        }
+        let config = BuildConfig::sequential();
+        let pll =
+            PrunedLandmarkLabeling::build_with_config(&old, VertexOrder::DegreeDescending, &config);
+        let (inc, report) =
+            refresh(&pll, &old, &new, VertexOrder::DegreeDescending, &config).unwrap();
+        let scratch =
+            PrunedLandmarkLabeling::build_with_config(&new, VertexOrder::DegreeDescending, &config);
+        assert!(report.affected_hubs > 0);
+        assert!(!report.unchanged);
+        assert_stores_identical(&inc, &scratch, "lowered edge");
     }
 
     #[test]
@@ -694,10 +676,7 @@ mod tests {
     #[test]
     fn repeated_refreshes_compose() {
         let g0 = grid(4, 5);
-        let config = BuildConfig {
-            storage: LabelStorage::CompressedDict,
-            ..BuildConfig::sequential()
-        };
+        let config = BuildConfig::sequential();
         let mut pll =
             PrunedLandmarkLabeling::build_with_config(&g0, VertexOrder::DegreeDescending, &config);
         let mut cur = g0;

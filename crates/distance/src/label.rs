@@ -12,12 +12,6 @@
 //! [`LabelSetBuilder`] instead journals entries into one flat arena with
 //! per-node backward links and converts to CSR in a final `O(total)`
 //! counting pass — no per-node `Vec` intermediate at any point.
-//!
-//! Each plane is a [`Plane`] (owned `Vec` or a slice borrowed from a
-//! mapped index file); all reads go through slices, so queries are
-//! identical either way.
-
-use crate::plane::Plane;
 
 /// One label entry: this node is at distance `dist` from the hub with
 /// construction rank `hub_rank`.
@@ -82,23 +76,20 @@ impl<'a> LabelRef<'a> {
 pub struct LabelSet {
     // The three planes are (de)serialized field-by-field by `persist.rs`,
     // whose load-time validation re-establishes every invariant stated
-    // here — keep the two in sync when changing the layout. Each plane is
-    // either owned or borrowed from a mapped v2 index file (`Plane`);
-    // every read below goes through `Deref<Target = [T]>`.
+    // here — keep the two in sync when changing the layout.
     /// `offsets[v]..offsets[v + 1]` is node `v`'s slice of the flat arrays.
-    pub(crate) offsets: Plane<u32>,
+    pub(crate) offsets: Vec<u32>,
     /// All hub ranks, concatenated per node, ascending within a node.
-    pub(crate) hub_ranks: Plane<u32>,
+    pub(crate) hub_ranks: Vec<u32>,
     /// All distances, parallel to `hub_ranks`.
-    pub(crate) dists: Plane<f64>,
+    pub(crate) dists: Vec<f64>,
 }
 
 /// Summary statistics of a built index.
 ///
-/// `bytes` is the total physical footprint of the active storage backend;
-/// the `*_bytes` fields break it into the four planes every backend is
-/// made of (`bytes = offsets_bytes + ranks_bytes + dists_bytes +
-/// dict_bytes`), so compression PRs can report which plane they shrank.
+/// `bytes` is the total footprint of the three CSR planes; the `*_bytes`
+/// fields break it down (`bytes = offsets_bytes + ranks_bytes +
+/// dists_bytes`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LabelStats {
     /// Number of indexed nodes.
@@ -109,85 +100,26 @@ pub struct LabelStats {
     pub avg_entries: f64,
     /// Largest single label list.
     pub max_entries: usize,
-    /// Total memory footprint in bytes of the active storage backend —
-    /// the figure any label-compression scheme has to beat.
+    /// Total memory footprint of the label planes in bytes.
     pub bytes: usize,
-    /// Bytes spent on per-node addressing (entry offsets, plus byte
-    /// offsets for varint-rank backends).
+    /// Bytes spent on the per-node entry offsets.
     pub offsets_bytes: usize,
-    /// Bytes spent on the hub-rank plane (flat `u32` array or varint
-    /// stream).
+    /// Bytes spent on the flat `u32` hub-rank plane.
     pub ranks_bytes: usize,
-    /// Bytes spent on the distance plane (flat `f64` array or narrow
-    /// dictionary codes).
+    /// Bytes spent on the flat `f64` distance plane.
     pub dists_bytes: usize,
-    /// Bytes spent on the distance dictionary table (`0` for flat
-    /// distance planes).
-    pub dict_bytes: usize,
-    /// Distinct distance values in the dictionary table (`0` for flat
-    /// distance planes).
-    pub dict_values: usize,
 }
 
 impl LabelStats {
-    /// Assembles stats from per-plane byte counts (`bytes` and
-    /// `avg_entries` are derived).
-    // One positional arg per plane mirrors the LabelStats field order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        nodes: usize,
-        total_entries: usize,
-        max_entries: usize,
-        offsets_bytes: usize,
-        ranks_bytes: usize,
-        dists_bytes: usize,
-        dict_bytes: usize,
-        dict_values: usize,
-    ) -> LabelStats {
-        LabelStats {
-            nodes,
-            total_entries,
-            avg_entries: if nodes == 0 {
-                0.0
-            } else {
-                total_entries as f64 / nodes as f64
-            },
-            max_entries,
-            bytes: offsets_bytes + ranks_bytes + dists_bytes + dict_bytes,
-            offsets_bytes,
-            ranks_bytes,
-            dists_bytes,
-            dict_bytes,
-            dict_values,
-        }
-    }
-
-    /// Bytes per dictionary code (1, 2 or 4 — the narrowest width that
-    /// indexes `dict_values` table slots), or `0` for flat distance
-    /// planes.
-    pub fn dict_code_width(&self) -> usize {
-        if self.dict_values == 0 {
-            0
-        } else if self.dict_values <= 1 << 8 {
-            1
-        } else if self.dict_values <= 1 << 16 {
-            2
-        } else {
-            4
-        }
-    }
-
     /// The per-plane byte breakdown as a compact human-readable string,
-    /// e.g. `"offsets 9 + ranks 1014 + dists 2028 + dict 0 KiB"` — what
-    /// the `experiments` label-stats banner and the cold-start example
-    /// print.
+    /// e.g. `"offsets 9 + ranks 1014 + dists 2028 KiB"` — what the
+    /// `experiments` label-stats banner and the cold-start example print.
     pub fn breakdown_kib(&self) -> String {
         format!(
-            "offsets {} + ranks {} + dists {} + dict {} KiB",
+            "offsets {} + ranks {} + dists {} KiB",
             self.offsets_bytes / 1024,
             self.ranks_bytes / 1024,
-            self.dists_bytes / 1024,
-            self.dict_bytes / 1024
+            self.dists_bytes / 1024
         )
     }
 }
@@ -196,9 +128,9 @@ impl LabelSet {
     /// An empty label set for `n` nodes.
     pub fn new(n: usize) -> Self {
         LabelSet {
-            offsets: vec![0; n + 1].into(),
-            hub_ranks: Plane::new(),
-            dists: Plane::new(),
+            offsets: vec![0; n + 1],
+            hub_ranks: Vec::new(),
+            dists: Vec::new(),
         }
     }
 
@@ -224,9 +156,9 @@ impl LabelSet {
             offsets.push(hub_ranks.len() as u32);
         }
         LabelSet {
-            offsets: offsets.into(),
-            hub_ranks: hub_ranks.into(),
-            dists: dists.into(),
+            offsets,
+            hub_ranks,
+            dists,
         }
     }
 
@@ -245,6 +177,15 @@ impl LabelSet {
             hub_ranks: &self.hub_ranks[lo..hi],
             dists: &self.dists[lo..hi],
         }
+    }
+
+    /// `node`'s label entries in ascending hub rank.
+    #[inline]
+    pub fn entries(
+        &self,
+        node: usize,
+    ) -> impl DoubleEndedIterator<Item = LabelEntry> + ExactSizeIterator + '_ {
+        self.of(node).iter()
     }
 
     /// Merge-join query: minimum `d(u, hub) + d(hub, v)` over common hubs.
@@ -299,38 +240,40 @@ impl LabelSet {
         let lo = self.offsets[clean_from] as usize;
         hub_ranks.extend_from_slice(&self.hub_ranks[lo..]);
         dists.extend_from_slice(&self.dists[lo..]);
-        // The patched store is owned by construction: patching an
-        // mmap-backed set copies into fresh `Vec`s and never writes
-        // through the mapping (the CoW half of the zero-copy contract).
         LabelSet {
-            offsets: offsets.into(),
-            hub_ranks: hub_ranks.into(),
-            dists: dists.into(),
+            offsets,
+            hub_ranks,
+            dists,
         }
-    }
-
-    /// True when any plane borrows from a mapped index file.
-    pub(crate) fn is_zero_copy(&self) -> bool {
-        self.offsets.is_borrowed() || self.hub_ranks.is_borrowed() || self.dists.is_borrowed()
     }
 
     /// Computes summary statistics.
     pub fn stats(&self) -> LabelStats {
         let nodes = self.num_nodes();
-        let max_entries = (0..nodes)
-            .map(|v| (self.offsets[v + 1] - self.offsets[v]) as usize)
+        let total_entries = self.hub_ranks.len();
+        let max_entries = self
+            .offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0);
-        LabelStats::from_parts(
+        let offsets_bytes = std::mem::size_of::<u32>() * self.offsets.len();
+        let ranks_bytes = std::mem::size_of::<u32>() * total_entries;
+        let dists_bytes = std::mem::size_of::<f64>() * total_entries;
+        LabelStats {
             nodes,
-            self.hub_ranks.len(),
+            total_entries,
+            avg_entries: if nodes == 0 {
+                0.0
+            } else {
+                total_entries as f64 / nodes as f64
+            },
             max_entries,
-            std::mem::size_of::<u32>() * self.offsets.len(),
-            std::mem::size_of::<u32>() * self.hub_ranks.len(),
-            std::mem::size_of::<f64>() * self.dists.len(),
-            0,
-            0,
-        )
+            bytes: offsets_bytes + ranks_bytes + dists_bytes,
+            offsets_bytes,
+            ranks_bytes,
+            dists_bytes,
+        }
     }
 }
 
@@ -345,15 +288,15 @@ impl LabelSet {
 #[derive(Clone, Debug)]
 pub struct LabelSetBuilder {
     /// Per-node index of the most recent arena entry, or `NONE`.
-    pub(crate) head: Vec<u32>,
+    head: Vec<u32>,
     /// Per-node entry counts (for the CSR counting pass).
-    pub(crate) counts: Vec<u32>,
-    pub(crate) arena_ranks: Vec<u32>,
-    pub(crate) arena_dists: Vec<f64>,
-    pub(crate) arena_prev: Vec<u32>,
+    counts: Vec<u32>,
+    arena_ranks: Vec<u32>,
+    arena_dists: Vec<f64>,
+    arena_prev: Vec<u32>,
 }
 
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
 impl LabelSetBuilder {
     /// An empty builder for `n` nodes.
@@ -384,18 +327,6 @@ impl LabelSetBuilder {
         self.arena_prev.push(self.head[node]);
         self.head[node] = idx;
         self.counts[node] += 1;
-    }
-
-    /// Number of nodes this builder journals labels for.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.head.len()
-    }
-
-    /// Total entries journaled so far across all nodes.
-    #[inline]
-    pub fn total_entries(&self) -> usize {
-        self.arena_ranks.len()
     }
 
     /// `node`'s entries so far, newest first (descending hub rank).
@@ -435,9 +366,9 @@ impl LabelSetBuilder {
             debug_assert_eq!(slot, offsets[v] as usize, "chain/count mismatch");
         }
         LabelSet {
-            offsets: offsets.into(),
-            hub_ranks: hub_ranks.into(),
-            dists: dists.into(),
+            offsets,
+            hub_ranks,
+            dists,
         }
     }
 }
@@ -637,44 +568,10 @@ impl Iterator for BuilderEntries<'_> {
     }
 }
 
-/// Two-pointer merge over two rank-ascending entry streams, taking the
-/// min combined distance over common hubs — the storage-independent form
-/// of [`merge_join_min`] every non-CSR backend's pairwise query runs.
-/// Same sums over the same hubs in the same order, hence bit-identical
-/// results across backends.
-#[inline]
-pub(crate) fn merge_join_entries(
-    mut a: impl Iterator<Item = LabelEntry>,
-    mut b: impl Iterator<Item = LabelEntry>,
-) -> f64 {
-    let (mut ea, mut eb) = (a.next(), b.next());
-    let mut best = f64::INFINITY;
-    while let (Some(x), Some(y)) = (ea, eb) {
-        match x.hub_rank.cmp(&y.hub_rank) {
-            std::cmp::Ordering::Equal => {
-                let d = x.dist + y.dist;
-                if d < best {
-                    best = d;
-                }
-                ea = a.next();
-                eb = b.next();
-            }
-            std::cmp::Ordering::Less => ea = a.next(),
-            std::cmp::Ordering::Greater => eb = b.next(),
-        }
-    }
-    best
-}
-
 /// Two-pointer merge over rank-sorted slice pairs, taking the min combined
 /// distance over common hubs.
 #[inline]
-pub(crate) fn merge_join_min(
-    a_ranks: &[u32],
-    a_dists: &[f64],
-    b_ranks: &[u32],
-    b_dists: &[f64],
-) -> f64 {
+fn merge_join_min(a_ranks: &[u32], a_dists: &[f64], b_ranks: &[u32], b_dists: &[f64]) -> f64 {
     let mut best = f64::INFINITY;
     let (mut i, mut j) = (0usize, 0usize);
     while i < a_ranks.len() && j < b_ranks.len() {
@@ -801,8 +698,6 @@ mod tests {
         assert_eq!(s.offsets_bytes, 4 * 4);
         assert_eq!(s.ranks_bytes, 3 * 4);
         assert_eq!(s.dists_bytes, 3 * 8);
-        assert_eq!(s.dict_bytes, 0);
-        assert_eq!(s.dict_values, 0);
         assert_eq!(s.bytes, 4 * 4 + 3 * 4 + 3 * 8);
         assert_eq!(LabelSet::new(2).stats().bytes, 3 * 4);
     }

@@ -11,16 +11,13 @@
 //!
 //! * [`PrunedLandmarkLabeling`] — a weighted-graph PLL index: for each node
 //!   a small sorted list of `(hub, distance)` labels such that every
-//!   shortest path is covered by some common hub. Labels live in a
-//!   [`LabelStore`] whose backend is two orthogonal planes — flat CSR
-//!   ([`LabelSet`]) or delta+varint ([`CompressedLabelSet`]) hub ranks ×
-//!   flat `f64` or dictionary-coded ([`DistDict`]) distances — selected
-//!   by [`BuildConfig::storage`]; pairwise queries are a merge-join over
-//!   two label streams and are bit-identical across backends. Construction is
-//!   a batch-synchronous parallel build ([`BuildConfig`]) whose output is
-//!   bit-identical to the sequential algorithm for every thread count and
-//!   batch size (see `src/README.md`, which also carries the compressed
-//!   format spec).
+//!   shortest path is covered by some common hub. Labels live in one flat
+//!   CSR [`LabelSet`] (per-node offsets into parallel hub-rank and
+//!   distance arrays); pairwise queries are a merge-join over two label
+//!   slices. Construction is a batch-synchronous parallel build
+//!   ([`BuildConfig`]) whose output is bit-identical to the sequential
+//!   algorithm for every thread count and batch size (see
+//!   `src/README.md`).
 //! * [`SourceScatter`] — the one-to-many query engine: scatter a source's
 //!   label once, then answer each target in `O(|label(target)|)` with no
 //!   merge. This is what makes Algorithm 1's root scan fast — one scatter
@@ -37,39 +34,33 @@
 //!   with bounded, capped-backoff retry of transient I/O failures for
 //!   long-lived callers (the load-or-build cold start, background
 //!   snapshot swaps).
+//! * [`incremental`] — patches a built index after a distance-lowering
+//!   graph delta, bit-identical to a rebuild on the new graph.
 //!
 //! Vertex ordering matters enormously for PLL label sizes; [`order`]
 //! provides the degree-descending heuristic recommended by Akiba et al. for
 //! social networks.
 
-pub mod codec;
-pub mod dict;
 pub mod dijkstra_oracle;
 pub mod incremental;
 pub mod label;
-pub mod mmap;
 pub mod oracle;
 pub mod order;
 pub mod persist;
-pub mod plane;
 pub mod pll;
 pub mod scatter;
 
-pub use codec::{CompressedLabelSet, LabelDecoder, LabelEntries, LabelStorage, LabelStore};
-pub use dict::{CompressedDictLabelSet, DictDecoder, DictEntries, DictLabelSet, DistDict};
 pub use dijkstra_oracle::DijkstraOracle;
 pub use incremental::{refresh, IncrementalError, IncrementalReport};
 pub use label::{
     JournalCursor, JournalShard, LabelEntry, LabelRef, LabelSet, LabelSetBuilder, LabelStats,
     ShardedJournal,
 };
-pub use mmap::MmapRegion;
 pub use oracle::DistanceOracle;
 pub use order::{degree_descending_order, VertexOrder};
 pub use persist::{
-    atomic_write, graph_fingerprint, sweep_orphaned_tmp, sweep_orphaned_tmp_dir, IndexLoadMode,
-    PersistError, RetryPolicy, SnapshotFingerprint,
+    atomic_write, graph_fingerprint, sweep_orphaned_tmp, sweep_orphaned_tmp_dir, PersistError,
+    RetryPolicy, SnapshotFingerprint,
 };
-pub use plane::{Plane, PlanePod};
 pub use pll::{BatchProfile, BuildConfig, BuildProfile, PrunedLandmarkLabeling};
 pub use scatter::SourceScatter;

@@ -2,39 +2,36 @@
 //!
 //! The paper's query engine is only fast because the 2-hop cover is
 //! already built — yet every process start used to pay a full PLL
-//! construction. All four [`LabelStore`] backends are flat arrays plus at
-//! most one dictionary table, so a built index serializes to a
-//! straightforward little-endian dump that loads orders of magnitude
-//! faster than even the parallel rebuild (`O(index bytes)` instead of
-//! `O(graph rebuild)` — see `BENCH_pr5.json` and the cold-start section
-//! of the README).
+//! construction. The CSR [`LabelSet`] is three flat arrays, so a built
+//! index serializes to a straightforward little-endian dump that loads
+//! orders of magnitude faster than even the parallel rebuild
+//! (`O(index bytes)` instead of `O(graph rebuild)` — see
+//! `BENCH_pr5.json` and the cold-start section of the README).
 //!
 //! The format is defensive because a loaded file is the **first untrusted
-//! byte stream** the label decoders ever see. The header carries a magic,
-//! a format version, the storage tag, a snapshot fingerprint (node count,
-//! entry count, and a hash of the graph's edge/weight stream) so stale
-//! indexes are rejected, and an FNV-1a checksum over the payload.
-//! Loading validates every structural invariant the unchecked hot-path
-//! decoders rely on — offsets monotone and in range, varint blocks
-//! well-formed (via the checked decoder in `codec.rs`), dictionary codes
-//! inside the table — and returns [`PersistError`], **never panics**, on
-//! any malformed input. See `crates/distance/src/README.md` for the
+//! byte stream** the label scans ever see. The header carries a magic,
+//! the format version, the storage tag, a snapshot fingerprint (node
+//! count, entry count, and a hash of the graph's edge/weight stream) so
+//! stale indexes are rejected, and a checksum over the payload. Loading
+//! validates every structural invariant the hot-path scans rely on —
+//! offsets monotone and in range, ranks strictly ascending within each
+//! node — and returns [`PersistError`], **never panics**, on any
+//! malformed input. See `crates/distance/src/README.md` for the
 //! byte-level format specification.
 //!
-//! Format **v2** lays every plane out 8-byte-aligned (length-prefixed,
-//! zero-padded, with a leading `max_rank` word and a word-lane payload
-//! checksum) so that [`LabelStore::load_mmap`] /
-//! [`PrunedLandmarkLabeling::load_mmap`] can memory-map a file and
-//! borrow the planes in place — zero decode, zero copy, bit-identical
-//! queries ([`IndexLoadMode`] selects between the two load paths).
-//! v1 files remain readable through the owned decode path.
+//! The only format is **v2** with storage tag `0` (flat CSR planes,
+//! 8-byte-aligned, behind a `max_rank` word). Files of format v1, and
+//! files carrying the tags of the retired compressed and dictionary
+//! layouts, fail with [`PersistError::UnsupportedVersion`] /
+//! [`PersistError::BadStorageTag`]; the load-or-build cold start then
+//! rebuilds.
 //!
 //! Typical use is the load-or-build cold start
 //! (`DiscoveryOptions::pll_index_path` in `atd-core` wires this up
 //! end-to-end):
 //!
 //! ```
-//! use atd_distance::{LabelStore, PrunedLandmarkLabeling, VertexOrder};
+//! use atd_distance::{PrunedLandmarkLabeling, VertexOrder};
 //! use atd_graph::GraphBuilder;
 //!
 //! let mut b = GraphBuilder::new();
@@ -60,56 +57,28 @@
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use atd_graph::ExpertGraph;
 
-use crate::codec::{try_read_varint, CompressedLabelSet, LabelStorage, LabelStore, VarintError};
-use crate::dict::{CodePlane, CompressedDictLabelSet, DictLabelSet, DistDict};
 use crate::label::LabelSet;
-use crate::mmap::MmapRegion;
-use crate::plane::{Plane, PlanePod};
 use crate::pll::PrunedLandmarkLabeling;
 
 /// File magic, the first four bytes of every index dump.
 pub const MAGIC: [u8; 4] = *b"ATDL";
 
-/// Current on-disk format version: 8-byte-aligned planes and a word-lane
-/// checksum, the layout [`LabelStore::load_mmap`] borrows in place.
+/// The on-disk format version this build writes and reads: 8-byte-aligned
+/// planes behind a `max_rank` word, sealed by a word-lane checksum.
 pub const FORMAT_VERSION: u16 = 2;
 
-/// The unaligned byte-packed v1 layout. Still readable (decoded into
-/// owned storage, never borrowed); no longer written except by the
-/// hidden legacy writer the compatibility tests use.
-pub const LEGACY_FORMAT_VERSION: u16 = 1;
+/// The header's storage tag for the flat CSR planes — the only layout
+/// there is. Tags 1–3 belonged to retired layouts and are rejected.
+pub const CSR_STORAGE_TAG: u8 = 0;
 
 /// Fixed header length in bytes (see the format spec in
-/// `crates/distance/src/README.md`). A multiple of 8, so v2 payload
+/// `crates/distance/src/README.md`). A multiple of 8, so payload
 /// offsets are file offsets modulo alignment.
 pub const HEADER_LEN: usize = 48;
-
-/// How `DiscoveryOptions::pll_index_path`-style cold starts materialize
-/// a persisted index in memory.
-///
-/// Both modes produce bit-identical query results; they differ only in
-/// where the label planes live and what loading costs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum IndexLoadMode {
-    /// Decode the file into owned `Vec` planes
-    /// ([`PrunedLandmarkLabeling::load_from`]), running the full
-    /// structural validation suite. Portable, defensive, `O(payload)`
-    /// decode work.
-    #[default]
-    Owned,
-    /// Memory-map the file and borrow every plane straight from the page
-    /// cache ([`PrunedLandmarkLabeling::load_mmap`]) — zero decode, zero
-    /// copy for format-v2 files. Validation is the payload checksum plus
-    /// `O(nodes)` metadata checks; v1 files fall back to the owned
-    /// decode path. First-touch page-ins are charged to queries instead
-    /// of load time.
-    Mmap,
-}
 
 /// Why a save or load failed.
 ///
@@ -123,10 +92,10 @@ pub enum PersistError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not an index dump.
     BadMagic,
-    /// The file's format version is newer than [`FORMAT_VERSION`] (or
-    /// zero) — this build reads versions 1 and 2 only.
+    /// The file's format version is not [`FORMAT_VERSION`] — this build
+    /// reads version 2 only.
     UnsupportedVersion(u16),
-    /// The header's storage tag names no known [`LabelStorage`] backend.
+    /// The header's storage tag is not [`CSR_STORAGE_TAG`].
     BadStorageTag(u8),
     /// The snapshot fingerprint does not match the graph the caller
     /// supplied — the index was built from a different (stale) snapshot.
@@ -158,10 +127,14 @@ impl fmt::Display for PersistError {
                 write!(
                     f,
                     "unsupported index format version {v} (this build reads \
-                     {LEGACY_FORMAT_VERSION}..={FORMAT_VERSION})"
+                     version {FORMAT_VERSION} only)"
                 )
             }
-            PersistError::BadStorageTag(t) => write!(f, "unknown label storage tag {t}"),
+            PersistError::BadStorageTag(t) => write!(
+                f,
+                "unsupported label storage tag {t} (this build reads tag \
+                 {CSR_STORAGE_TAG}, flat CSR, only)"
+            ),
             PersistError::StaleIndex {
                 what,
                 expected,
@@ -189,15 +162,6 @@ impl std::error::Error for PersistError {
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
-    }
-}
-
-impl From<VarintError> for PersistError {
-    fn from(e: VarintError) -> Self {
-        match e {
-            VarintError::Truncated => PersistError::Corrupt("varint block truncated"),
-            VarintError::Overflow => PersistError::Corrupt("varint does not fit u32"),
-        }
     }
 }
 
@@ -318,9 +282,9 @@ pub struct SnapshotFingerprint {
 }
 
 impl SnapshotFingerprint {
-    /// The fingerprint [`LabelStore::save_to`] writes for `store` built
+    /// The fingerprint [`LabelSet::save_to`] writes for `store` built
     /// from `graph`.
-    pub fn of(graph: &ExpertGraph, store: &LabelStore) -> SnapshotFingerprint {
+    pub fn of(graph: &ExpertGraph, store: &LabelSet) -> SnapshotFingerprint {
         SnapshotFingerprint {
             nodes: store.num_nodes() as u64,
             entries: store.stats().total_entries as u64,
@@ -340,7 +304,7 @@ impl SnapshotFingerprint {
             return Err(PersistError::BadMagic);
         }
         let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-        if !(LEGACY_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
@@ -387,7 +351,7 @@ impl Fnv64 {
     /// of eight. Distinct from (and incompatible with) the byte-wise
     /// [`write`](Self::write) — used where the hash is only ever
     /// compared against values computed by this same code (the graph
-    /// fingerprint, the v2 checksum fold), never against a byte stream.
+    /// fingerprint, the checksum fold), never against a byte stream.
     #[inline]
     fn absorb_u64(&mut self, v: u64) {
         self.0 ^= v;
@@ -402,9 +366,9 @@ impl Fnv64 {
 ///
 /// Memoized per graph instance (the graph is immutable after
 /// construction): the first call hashes the CSR arrays, later calls on
-/// the same instance are a load. The hash sits on every index load —
-/// owned and zero-copy — and on every durable journal append, so both
-/// the first computation and the repeat lookups matter.
+/// the same instance are a load. The hash sits on every index load and
+/// on every durable journal append, so both the first computation and
+/// the repeat lookups matter.
 pub fn graph_fingerprint(g: &ExpertGraph) -> u64 {
     g.fingerprint_or_init(compute_graph_fingerprint)
 }
@@ -414,10 +378,8 @@ fn compute_graph_fingerprint(g: &ExpertGraph) -> u64 {
     // (offsets, targets, weights each hashed separately), folded at
     // the end. The arrays fully determine topology and weights, and the
     // builder's layout is canonical, so two equal graphs always hash
-    // equal. The fingerprint sits on every load path — including the
-    // zero-copy one, where the old per-edge iterator walk would be a
-    // large fraction of the total — and on every durable append, so
-    // branch-free bulk absorption matters. The value is always
+    // equal. The fingerprint sits on every load and on every durable
+    // append, so branch-free bulk absorption matters. The value is always
     // recomputed by this same code before comparison, never parsed from
     // foreign bytes.
     // Each array is absorbed through four interleaved lanes (element i
@@ -457,14 +419,13 @@ fn compute_graph_fingerprint(g: &ExpertGraph) -> u64 {
     h.0
 }
 
-/// The checksum format v2 stores over its payload bytes: eight
+/// The checksum the header stores over the payload bytes: eight
 /// interleaved lanes over 512-byte blocks, each lane absorbing eight
 /// little-endian `u64` words — one through the FNV xor-multiply step,
 /// seven through xor at distinct rotations — folded together with the
-/// tail bytes and the payload length through the FNV step. The v1
-/// checksum pays one multiply per *byte*; this pays one per 64 bytes
-/// per lane, which takes the mmap load path's single full-payload pass
-/// from multiply-throughput bound to memory-bandwidth bound. Every
+/// tail bytes and the payload length through the FNV step. One multiply
+/// per 64 bytes per lane keeps the full-payload pass memory-bandwidth
+/// bound rather than multiply-throughput bound. Every
 /// absorption is bijective in the lane state, so corrupting any single
 /// byte (or truncating anywhere) changes the final value
 /// deterministically — the property the corruption suite drives
@@ -500,14 +461,6 @@ pub fn checksum(payload: &[u8]) -> u64 {
     }
     h.absorb_u64(tail.0);
     h.absorb_u64(payload.len() as u64);
-    h.0
-}
-
-/// The byte-wise FNV-1a-64 checksum format v1 stored; kept so legacy
-/// files still verify (and so the hidden v1 writer can seal them).
-fn checksum_v1(payload: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(payload);
     h.0
 }
 
@@ -547,7 +500,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 
 /// Returns `Some(pid)` when `name` is an orphaned-temp name for any final
 /// file (`<base>.tmp.<pid>.<seq>` with all-digit pid and seq), i.e. the
-/// naming scheme used by [`atomic_write`] and [`LabelStore::save_to`].
+/// naming scheme used by [`atomic_write`] and [`LabelSet::save_to`].
 fn parse_tmp_pid(name: &str) -> Option<u32> {
     let (rest, seq) = name.rsplit_once('.')?;
     if seq.is_empty() || !seq.bytes().all(|b| b.is_ascii_digit()) {
@@ -639,34 +592,23 @@ fn sweep_dir_with(dir: &Path, applies: impl Fn(&str) -> bool) -> usize {
 // ---------------------------------------------------------------------
 
 /// Serializes planes as `[len: u64][data]`, zero-padding each plane's
-/// data to the next 8-byte boundary when `aligned` (format v2 — what
-/// lets the mmap loader reinterpret planes in place). With `aligned`
-/// off it reproduces the byte-packed v1 layout exactly.
+/// data to the next 8-byte boundary. The padding is part of the v2
+/// layout that stored indexes already use, so it stays even though no
+/// loader borrows the aligned planes any more (the exact bytes are
+/// pinned by `tests/proptest_persist.rs`).
+#[derive(Default)]
 struct PayloadWriter {
     out: Vec<u8>,
-    aligned: bool,
 }
 
 impl PayloadWriter {
-    fn new(aligned: bool) -> PayloadWriter {
-        PayloadWriter {
-            out: Vec::new(),
-            aligned,
-        }
-    }
-
     fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Pads to the next 8-byte payload boundary (v2 only). The header is
-    /// itself [`HEADER_LEN`] = 48 bytes, so payload-relative alignment
-    /// is absolute file alignment.
     fn pad(&mut self) {
-        if self.aligned {
-            while !self.out.len().is_multiple_of(8) {
-                self.out.push(0);
-            }
+        while !self.out.len().is_multiple_of(8) {
+            self.out.push(0);
         }
     }
 
@@ -678,46 +620,10 @@ impl PayloadWriter {
         self.pad();
     }
 
-    fn u16_slice(&mut self, v: &[u16]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.out.extend_from_slice(&x.to_le_bytes());
-        }
-        self.pad();
-    }
-
-    fn u8_slice(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.out.extend_from_slice(v);
-        self.pad();
-    }
-
     fn f64_slice(&mut self, v: &[f64]) {
         self.u64(v.len() as u64);
         for &x in v {
             self.out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        self.pad();
-    }
-
-    fn dict(&mut self, dict: &DistDict) {
-        self.f64_slice(&dict.table);
-        let width: u8 = match &dict.codes {
-            CodePlane::U8(_) => 1,
-            CodePlane::U16(_) => 2,
-            CodePlane::U32(_) => 4,
-        };
-        // v1 spent a single byte on the code width; v2 spends a whole
-        // word so the code plane's length prefix stays aligned.
-        if self.aligned {
-            self.u64(width as u64);
-        } else {
-            self.out.push(width);
-        }
-        match &dict.codes {
-            CodePlane::U8(c) => self.u8_slice(c),
-            CodePlane::U16(c) => self.u16_slice(c),
-            CodePlane::U32(c) => self.u32_slice(c),
         }
     }
 }
@@ -729,24 +635,13 @@ impl PayloadWriter {
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// Format v2: every plane's data is zero-padded to the next 8-byte
-    /// boundary, skipped (and checked) after each slice read.
-    aligned: bool,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8], aligned: bool) -> Cursor<'a> {
-        Cursor {
-            buf,
-            pos: 0,
-            aligned,
-        }
-    }
-
-    /// Consumes the zero padding a v2 writer emitted after a plane; a
+    /// Consumes the zero padding the writer emitted after a plane; a
     /// nonzero pad byte means the file was not produced by our writer.
     fn skip_pad(&mut self) -> Result<(), PersistError> {
-        if self.aligned && !self.pos.is_multiple_of(8) {
+        if !self.pos.is_multiple_of(8) {
             let pad = self.bytes(8 - self.pos % 8)?;
             if pad.iter().any(|&b| b != 0) {
                 return Err(PersistError::Corrupt("nonzero plane padding byte"));
@@ -763,10 +658,6 @@ impl<'a> Cursor<'a> {
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.bytes(1)?[0])
     }
 
     fn u64(&mut self) -> Result<u64, PersistError> {
@@ -800,24 +691,6 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
-    fn u16_vec(&mut self) -> Result<Vec<u16>, PersistError> {
-        let n = self.len_prefix(2)?;
-        let raw = self.bytes(n * 2)?;
-        let v = raw
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
-            .collect();
-        self.skip_pad()?;
-        Ok(v)
-    }
-
-    fn u8_vec(&mut self) -> Result<Vec<u8>, PersistError> {
-        let n = self.len_prefix(1)?;
-        let v = self.bytes(n)?.to_vec();
-        self.skip_pad()?;
-        Ok(v)
-    }
-
     fn f64_vec(&mut self) -> Result<Vec<f64>, PersistError> {
         let n = self.len_prefix(8)?;
         let raw = self.bytes(n * 8)?;
@@ -839,8 +712,8 @@ impl<'a> Cursor<'a> {
 // Structural validation
 // ---------------------------------------------------------------------
 
-/// Entry-offset invariants every backend shares: `nodes + 1` values,
-/// starting at 0, monotone nondecreasing, ending at `entries`.
+/// Entry-offset invariants: `nodes + 1` values, starting at 0, monotone
+/// nondecreasing, ending at `entries`.
 fn validate_offsets(offsets: &[u32], nodes: usize, entries: usize) -> Result<(), PersistError> {
     if offsets.len() != nodes + 1 {
         return Err(PersistError::Corrupt("offset array length != nodes + 1"));
@@ -857,17 +730,22 @@ fn validate_offsets(offsets: &[u32], nodes: usize, entries: usize) -> Result<(),
     Ok(())
 }
 
-/// Flat-rank invariant: strictly ascending hub ranks within every node's
-/// slice (what the merge-join and scatter scans rely on). Returns the
-/// maximum rank seen (`None` when there are no entries) — ascent means
-/// only each slice's last rank competes — so the caller can enforce the
-/// vertex-rank bound and the v2 `max_rank` header field in the same
-/// pass.
-fn validate_csr_ranks(offsets: &[u32], ranks: &[u32]) -> Result<Option<u32>, PersistError> {
+/// Rank invariants: strictly ascending hub ranks within every node's
+/// slice (what the merge-join and scatter scans rely on), the header's
+/// `max_rank` word equal to the largest rank actually stored (`0` when
+/// there are no entries), and — when the caller supplies `rank_bound` —
+/// every rank below it. Ascent means only each slice's last rank
+/// competes for the maximum.
+fn validate_ranks(
+    offsets: &[u32],
+    ranks: &[u32],
+    stored_max_rank: u64,
+    rank_bound: Option<u32>,
+) -> Result<(), PersistError> {
     let mut max: Option<u32> = None;
-    for v in 0..offsets.len() - 1 {
-        let slice = &ranks[offsets[v] as usize..offsets[v + 1] as usize];
-        if slice.windows(2).any(|w| w[0] >= w[1]) {
+    for w in offsets.windows(2) {
+        let slice = &ranks[w[0] as usize..w[1] as usize];
+        if slice.windows(2).any(|p| p[0] >= p[1]) {
             return Err(PersistError::Corrupt(
                 "hub ranks not strictly ascending within a node",
             ));
@@ -876,100 +754,12 @@ fn validate_csr_ranks(offsets: &[u32], ranks: &[u32]) -> Result<Option<u32>, Per
             max = Some(max.map_or(last, |m| m.max(last)));
         }
     }
-    Ok(max)
-}
-
-/// Byte-offset invariants of the varint backends: `nodes + 1` values,
-/// starting at 0, monotone nondecreasing, ending at the byte-stream
-/// length. `O(nodes)` with no decoding — this is the part of the varint
-/// validation the zero-copy load path keeps.
-fn validate_byte_offsets(
-    byte_offsets: &[u32],
-    nodes: usize,
-    rank_bytes_len: usize,
-) -> Result<(), PersistError> {
-    if byte_offsets.len() != nodes + 1 {
+    if stored_max_rank != max.map_or(0, u64::from) {
         return Err(PersistError::Corrupt(
-            "byte-offset array length != nodes + 1",
+            "max-rank field does not match label planes",
         ));
     }
-    if byte_offsets[0] != 0 {
-        return Err(PersistError::Corrupt(
-            "byte-offset array does not start at 0",
-        ));
-    }
-    if byte_offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(PersistError::Corrupt("byte offsets not monotone"));
-    }
-    if byte_offsets[nodes] as usize != rank_bytes_len {
-        return Err(PersistError::Corrupt(
-            "byte-offset array end != rank byte count",
-        ));
-    }
-    Ok(())
-}
-
-/// Varint-block invariants: byte offsets monotone and in range, every
-/// block holding exactly one well-formed varint per entry, consuming
-/// exactly its bytes, and decoding to ranks that ascend strictly without
-/// wrapping `u32`. Runs the checked decoder — the unchecked hot-path
-/// form is only ever fed blocks that passed here. Returns the maximum
-/// decoded rank, as [`validate_csr_ranks`] does.
-fn validate_varint_blocks(
-    offsets: &[u32],
-    byte_offsets: &[u32],
-    rank_bytes: &[u8],
-    nodes: usize,
-) -> Result<Option<u32>, PersistError> {
-    validate_byte_offsets(byte_offsets, nodes, rank_bytes.len())?;
-    let mut max: Option<u32> = None;
-    for v in 0..nodes {
-        let block = &rank_bytes[byte_offsets[v] as usize..byte_offsets[v + 1] as usize];
-        let count = (offsets[v + 1] - offsets[v]) as usize;
-        let mut pos = 0usize;
-        // rank_{-1} = -1; rank_i = rank_{i-1} + gap_i + 1, tracked in u64
-        // so a stream that would wrap u32 (breaking the strict ascent the
-        // decoders assume) is caught here instead.
-        let mut rank: u64 = u64::MAX; // wraps to gap_0 on the first add
-        for _ in 0..count {
-            let gap = try_read_varint(block, &mut pos)?;
-            rank = rank.wrapping_add(gap as u64).wrapping_add(1);
-            if rank > u32::MAX as u64 {
-                return Err(PersistError::Corrupt("decoded hub rank exceeds u32"));
-            }
-        }
-        // Ascent means only the block's last rank competes for the max.
-        if count > 0 {
-            let last = rank as u32;
-            max = Some(max.map_or(last, |m| m.max(last)));
-        }
-        if pos != block.len() {
-            return Err(PersistError::Corrupt(
-                "varint block longer than its entry count",
-            ));
-        }
-    }
-    Ok(max)
-}
-
-/// The caller-side half of the rank checks: the PLL-level vertex-rank
-/// bound (`max < nodes`, when the caller asked for it) and, on v2 files,
-/// the cross-check that the header's O(1) `max_rank` field agrees with
-/// the ranks actually decoded — keeping the field honest for the mmap
-/// path, which trusts it without decoding.
-fn check_max_rank(
-    computed: Option<u32>,
-    stored: Option<u64>,
-    rank_bound: Option<u32>,
-) -> Result<(), PersistError> {
-    if let Some(stored) = stored {
-        if stored != computed.map_or(0, |m| m as u64) {
-            return Err(PersistError::Corrupt(
-                "max-rank field does not match label planes",
-            ));
-        }
-    }
-    if let (Some(bound), Some(max)) = (rank_bound, computed) {
+    if let (Some(bound), Some(max)) = (rank_bound, max) {
         if max >= bound {
             return Err(PersistError::Corrupt("hub rank exceeds node count"));
         }
@@ -977,164 +767,9 @@ fn check_max_rank(
     Ok(())
 }
 
-/// The `O(1)` dictionary invariants: the code plane at the canonical
-/// width for the table size, and code count == entry count. This is all
-/// the zero-copy load path runs — the table-value scan and the per-code
-/// range scan ride on the v2 checksum there (a corrupt table behind a
-/// checksum collision yields a wrong distance or a clean bounds panic
-/// at query time, never unsoundness) — while the owned path layers the
-/// full scans on top ([`validate_dict`]).
-fn validate_dict_shape(dict: &DistDict, entries: usize) -> Result<(), PersistError> {
-    let expected_width = if dict.table.len() <= 1 << 8 {
-        1
-    } else if dict.table.len() <= 1 << 16 {
-        2
-    } else {
-        4
-    };
-    let (width, len) = match &dict.codes {
-        CodePlane::U8(c) => (1, c.len()),
-        CodePlane::U16(c) => (2, c.len()),
-        CodePlane::U32(c) => (4, c.len()),
-    };
-    if width != expected_width {
-        return Err(PersistError::Corrupt(
-            "code width not canonical for table size",
-        ));
-    }
-    if len != entries {
-        return Err(PersistError::Corrupt("code count != entry count"));
-    }
-    Ok(())
-}
-
-/// Full dictionary invariants: [`validate_dict_shape`] plus the value
-/// table (finite, non-negative, strictly ascending by bit pattern —
-/// bit order is numeric order, so this also rejects duplicates) and
-/// every code inside the table (`O(table + entries)`).
-fn validate_dict(dict: &DistDict, entries: usize) -> Result<(), PersistError> {
-    validate_dict_shape(dict, entries)?;
-    let table: &[f64] = &dict.table;
-    // -0.0 is rejected too: its sign bit would break the sorted-by-bits
-    // = sorted-numeric equivalence the encoder relies on.
-    if table.iter().any(|d| !d.is_finite() || d.is_sign_negative()) {
-        return Err(PersistError::Corrupt(
-            "dictionary table value not finite and non-negative",
-        ));
-    }
-    if table.windows(2).any(|w| w[0].to_bits() >= w[1].to_bits()) {
-        return Err(PersistError::Corrupt(
-            "dictionary table not strictly ascending",
-        ));
-    }
-    let max_code = match &dict.codes {
-        CodePlane::U8(c) => c.iter().map(|&x| x as usize).max(),
-        CodePlane::U16(c) => c.iter().map(|&x| x as usize).max(),
-        CodePlane::U32(c) => c.iter().map(|&x| x as usize).max(),
-    };
-    if let Some(max) = max_code {
-        if max >= dict.table.len() {
-            return Err(PersistError::Corrupt("dictionary code out of range"));
-        }
-    }
-    Ok(())
-}
-
-fn read_code_plane(cur: &mut Cursor<'_>) -> Result<CodePlane, PersistError> {
-    // v1 spent one byte on the width tag; v2 spends an aligned word.
-    let width = if cur.aligned {
-        cur.u64()?
-    } else {
-        cur.u8()? as u64
-    };
-    match width {
-        1 => Ok(CodePlane::U8(cur.u8_vec()?.into())),
-        2 => Ok(CodePlane::U16(cur.u16_vec()?.into())),
-        4 => Ok(CodePlane::U32(cur.u32_vec()?.into())),
-        _ => Err(PersistError::Corrupt("unknown code width")),
-    }
-}
-
-/// Plane reader for the zero-copy load path: walks a checksummed v2
-/// payload exactly like [`Cursor`] in aligned mode, but instead of
-/// copying each plane out it hands back a [`Plane::borrowed`] view into
-/// the backing [`MmapRegion`]. Bounds come from the same length
-/// prefixes; alignment is guaranteed by the v2 writer's padding and
-/// re-checked by `Plane::borrowed` anyway.
-struct BorrowCursor<'a> {
-    region: &'a Arc<MmapRegion>,
-    payload_len: usize,
-    /// Payload-relative position; the plane's absolute byte offset is
-    /// `HEADER_LEN + pos`.
-    pos: usize,
-}
-
-impl<'a> BorrowCursor<'a> {
-    fn new(region: &'a Arc<MmapRegion>) -> BorrowCursor<'a> {
-        BorrowCursor {
-            region,
-            payload_len: region.as_bytes().len() - HEADER_LEN,
-            pos: 0,
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        let end = self.pos.checked_add(8).ok_or(PersistError::Truncated)?;
-        if end > self.payload_len {
-            return Err(PersistError::Truncated);
-        }
-        let b = &self.region.as_bytes()[HEADER_LEN + self.pos..HEADER_LEN + end];
-        self.pos = end;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads one `[len: u64][data][pad8]` plane as a borrow into the
-    /// region.
-    fn plane<T: PlanePod>(&mut self) -> Result<Plane<T>, PersistError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| PersistError::Truncated)?;
-        let data_len = n
-            .checked_mul(std::mem::size_of::<T>())
-            .ok_or(PersistError::Truncated)?;
-        let end = self
-            .pos
-            .checked_add(data_len)
-            .ok_or(PersistError::Truncated)?;
-        let padded = end
-            .checked_add(end.wrapping_neg() % 8)
-            .ok_or(PersistError::Truncated)?;
-        if padded > self.payload_len {
-            return Err(PersistError::Truncated);
-        }
-        let plane = Plane::borrowed(self.region, HEADER_LEN + self.pos, n)
-            .ok_or(PersistError::Corrupt("plane misaligned in mapped file"))?;
-        self.pos = padded;
-        Ok(plane)
-    }
-
-    fn finish(&self) -> Result<(), PersistError> {
-        if self.pos != self.payload_len {
-            return Err(PersistError::Corrupt("trailing bytes after payload"));
-        }
-        Ok(())
-    }
-}
-
-fn borrow_code_plane(cur: &mut BorrowCursor<'_>) -> Result<CodePlane, PersistError> {
-    match cur.u64()? {
-        1 => Ok(CodePlane::U8(cur.plane()?)),
-        2 => Ok(CodePlane::U16(cur.plane()?)),
-        4 => Ok(CodePlane::U32(cur.plane()?)),
-        _ => Err(PersistError::Corrupt("unknown code width")),
-    }
-}
-
 /// The fixed header, parsed and cross-checked against the caller's
-/// snapshot — every check both load paths (owned decode and zero-copy
-/// borrow) run before touching a single payload byte.
+/// snapshot before a single payload byte is touched.
 struct Header {
-    version: u16,
-    storage: LabelStorage,
     fp: SnapshotFingerprint,
     stored_checksum: u64,
 }
@@ -1145,13 +780,11 @@ impl Header {
         expected_nodes: usize,
         expected_graph_hash: u64,
     ) -> Result<Header, PersistError> {
-        // Checks length >= HEADER_LEN, magic, and version range.
+        // Checks length >= HEADER_LEN, magic, and version.
         let fp = SnapshotFingerprint::read_from_bytes(bytes)?;
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-        let tag = bytes[6];
-        let storage = *LabelStorage::ALL
-            .get(tag as usize)
-            .ok_or(PersistError::BadStorageTag(tag))?;
+        if bytes[6] != CSR_STORAGE_TAG {
+            return Err(PersistError::BadStorageTag(bytes[6]));
+        }
         if bytes[7] != 0 {
             return Err(PersistError::Corrupt("reserved header byte not zero"));
         }
@@ -1185,112 +818,50 @@ impl Header {
             });
         }
         Ok(Header {
-            version,
-            storage,
             fp,
             stored_checksum,
         })
     }
-
-    fn verify_checksum(&self, payload: &[u8]) -> Result<(), PersistError> {
-        let sum = if self.version >= FORMAT_VERSION {
-            checksum(payload)
-        } else {
-            checksum_v1(payload)
-        };
-        if sum != self.stored_checksum {
-            return Err(PersistError::ChecksumMismatch);
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
-// LabelStore serialization
+// LabelSet serialization
 // ---------------------------------------------------------------------
 
-impl LabelStore {
-    /// Serializes this store into the current (v2) on-disk byte format —
-    /// `max_rank` word first, then 8-byte-aligned planes — stamping
-    /// `graph_hash` (see [`graph_fingerprint`]) into the header
-    /// fingerprint. The inverse of [`LabelStore::from_bytes`], and the
-    /// layout [`LabelStore::load_mmap`] borrows without decoding.
+impl LabelSet {
+    /// Serializes this label set into the on-disk byte format —
+    /// `max_rank` word first, then the three 8-byte-aligned planes —
+    /// stamping `graph_hash` (see [`graph_fingerprint`]) into the header
+    /// fingerprint. The inverse of [`LabelSet::from_bytes`].
     pub fn to_bytes(&self, graph_hash: u64) -> Vec<u8> {
-        self.encode(graph_hash, FORMAT_VERSION)
-    }
-
-    /// Writes the legacy byte-packed v1 layout. Only the backward-
-    /// compatibility tests should need this; new files are always v2.
-    #[doc(hidden)]
-    pub fn to_bytes_v1(&self, graph_hash: u64) -> Vec<u8> {
-        self.encode(graph_hash, LEGACY_FORMAT_VERSION)
-    }
-
-    /// The maximum hub rank across every node's label list (`None` when
-    /// the store has no entries) — the v2 header's O(1) substitute for
-    /// decoding the rank planes on the mmap load path.
-    fn max_hub_rank(&self) -> Option<u32> {
         // Ranks ascend within a node, so each list's last entry competes.
-        (0..self.num_nodes())
-            .filter_map(|v| self.entries(v).last())
-            .map(|e| e.hub_rank)
-            .max()
-    }
-
-    fn encode(&self, graph_hash: u64, version: u16) -> Vec<u8> {
-        let mut w = PayloadWriter::new(version >= FORMAT_VERSION);
-        if w.aligned {
-            w.u64(self.max_hub_rank().map_or(0, |m| m as u64));
-        }
-        match self {
-            LabelStore::Csr(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.hub_ranks);
-                w.f64_slice(&l.dists);
-            }
-            LabelStore::Compressed(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.byte_offsets);
-                w.u8_slice(&l.rank_bytes);
-                w.f64_slice(&l.dists);
-            }
-            LabelStore::CsrDict(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.hub_ranks);
-                w.dict(&l.dists);
-            }
-            LabelStore::CompressedDict(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.byte_offsets);
-                w.u8_slice(&l.rank_bytes);
-                w.dict(&l.dists);
-            }
-        }
+        let max_rank = (0..self.num_nodes())
+            .filter_map(|v| self.of(v).hub_ranks.last().copied())
+            .max();
+        let mut w = PayloadWriter::default();
+        w.u64(max_rank.map_or(0, u64::from));
+        w.u32_slice(&self.offsets);
+        w.u32_slice(&self.hub_ranks);
+        w.f64_slice(&self.dists);
         let payload = w.out;
-        let stats = self.stats();
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.push(self.storage() as u8);
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.push(CSR_STORAGE_TAG);
         out.push(0); // reserved
-        out.extend_from_slice(&(stats.nodes as u64).to_le_bytes());
-        out.extend_from_slice(&(stats.total_entries as u64).to_le_bytes());
+        out.extend_from_slice(&(self.num_nodes() as u64).to_le_bytes());
+        out.extend_from_slice(&(self.hub_ranks.len() as u64).to_le_bytes());
         out.extend_from_slice(&graph_hash.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let sum = if version >= FORMAT_VERSION {
-            checksum(&payload)
-        } else {
-            checksum_v1(&payload)
-        };
-        out.extend_from_slice(&sum.to_le_bytes());
+        out.extend_from_slice(&checksum(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
 
-    /// Decodes a store from untrusted bytes, validating the header
+    /// Decodes a label set from untrusted bytes, validating the header
     /// against the caller's snapshot (`expected_nodes`,
-    /// `expected_graph_hash`) and every structural invariant of the
-    /// stored backend before any decoder touches the data.
+    /// `expected_graph_hash`) and every structural invariant of the CSR
+    /// planes before any query scan touches the data.
     ///
     /// Returns `Err` — never panics — on any malformed, truncated,
     /// corrupt, or stale input.
@@ -1298,264 +869,50 @@ impl LabelStore {
         bytes: &[u8],
         expected_nodes: usize,
         expected_graph_hash: u64,
-    ) -> Result<LabelStore, PersistError> {
+    ) -> Result<LabelSet, PersistError> {
         Self::from_bytes_impl(bytes, expected_nodes, expected_graph_hash, false)
     }
 
-    /// [`LabelStore::from_bytes`] plus, when `ranks_are_vertex_ranks`,
+    /// [`LabelSet::from_bytes`] plus, when `ranks_are_vertex_ranks`,
     /// the PLL-level invariant that every hub rank is `< nodes` —
-    /// checked inside the single validation pass over the rank planes,
-    /// so the load path never decodes the labels twice.
-    pub(crate) fn from_bytes_impl(
+    /// checked inside the single validation pass over the rank plane.
+    fn from_bytes_impl(
         bytes: &[u8],
         expected_nodes: usize,
         expected_graph_hash: u64,
         ranks_are_vertex_ranks: bool,
-    ) -> Result<LabelStore, PersistError> {
+    ) -> Result<LabelSet, PersistError> {
         let header = Header::read(bytes, expected_nodes, expected_graph_hash)?;
         let payload = &bytes[HEADER_LEN..];
-        header.verify_checksum(payload)?;
-
+        if checksum(payload) != header.stored_checksum {
+            return Err(PersistError::ChecksumMismatch);
+        }
         let nodes = header.fp.nodes as usize;
         let entries = header.fp.entries as usize;
+        let mut cur = Cursor {
+            buf: payload,
+            pos: 0,
+        };
+        let stored_max_rank = cur.u64()?;
+        let offsets = cur.u32_vec()?;
+        let hub_ranks = cur.u32_vec()?;
+        let dists = cur.f64_vec()?;
+        cur.finish()?;
+        if hub_ranks.len() != entries || dists.len() != entries {
+            return Err(PersistError::Corrupt("plane length != entry count"));
+        }
+        validate_offsets(&offsets, nodes, entries)?;
         let rank_bound = ranks_are_vertex_ranks.then_some(header.fp.nodes as u32);
-        let aligned = header.version >= FORMAT_VERSION;
-        let mut cur = Cursor::new(payload, aligned);
-        // v2 leads with the max-rank word; cross-checked below against
-        // the ranks actually decoded, so the mmap path can trust it.
-        let stored_max_rank = if aligned { Some(cur.u64()?) } else { None };
-        let store = match header.storage {
-            LabelStorage::Csr => {
-                let offsets = cur.u32_vec()?;
-                let hub_ranks = cur.u32_vec()?;
-                let dists = cur.f64_vec()?;
-                cur.finish()?;
-                if hub_ranks.len() != entries || dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_csr_ranks(&offsets, &hub_ranks)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                LabelStore::Csr(LabelSet {
-                    offsets: offsets.into(),
-                    hub_ranks: hub_ranks.into(),
-                    dists: dists.into(),
-                })
-            }
-            LabelStorage::Compressed => {
-                let offsets = cur.u32_vec()?;
-                let byte_offsets = cur.u32_vec()?;
-                let rank_bytes = cur.u8_vec()?;
-                let dists = cur.f64_vec()?;
-                cur.finish()?;
-                if dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_varint_blocks(&offsets, &byte_offsets, &rank_bytes, nodes)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                LabelStore::Compressed(CompressedLabelSet {
-                    offsets: offsets.into(),
-                    byte_offsets: byte_offsets.into(),
-                    rank_bytes: rank_bytes.into(),
-                    dists: dists.into(),
-                })
-            }
-            LabelStorage::CsrDict => {
-                let offsets = cur.u32_vec()?;
-                let hub_ranks = cur.u32_vec()?;
-                let table = cur.f64_vec()?;
-                let codes = read_code_plane(&mut cur)?;
-                cur.finish()?;
-                if hub_ranks.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_csr_ranks(&offsets, &hub_ranks)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                let dists = DistDict {
-                    table: table.into(),
-                    codes,
-                };
-                validate_dict(&dists, entries)?;
-                LabelStore::CsrDict(DictLabelSet {
-                    offsets: offsets.into(),
-                    hub_ranks: hub_ranks.into(),
-                    dists,
-                })
-            }
-            LabelStorage::CompressedDict => {
-                let offsets = cur.u32_vec()?;
-                let byte_offsets = cur.u32_vec()?;
-                let rank_bytes = cur.u8_vec()?;
-                let table = cur.f64_vec()?;
-                let codes = read_code_plane(&mut cur)?;
-                cur.finish()?;
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_varint_blocks(&offsets, &byte_offsets, &rank_bytes, nodes)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                let dists = DistDict {
-                    table: table.into(),
-                    codes,
-                };
-                validate_dict(&dists, entries)?;
-                LabelStore::CompressedDict(CompressedDictLabelSet {
-                    offsets: offsets.into(),
-                    byte_offsets: byte_offsets.into(),
-                    rank_bytes: rank_bytes.into(),
-                    dists,
-                })
-            }
-        };
-        Ok(store)
+        validate_ranks(&offsets, &hub_ranks, stored_max_rank, rank_bound)?;
+        Ok(LabelSet {
+            offsets,
+            hub_ranks,
+            dists,
+        })
     }
 
-    /// Zero-copy decode of a mapped index file: validates the header,
-    /// the payload checksum, and the `O(nodes)` structural metadata,
-    /// then borrows every plane straight out of `region` — no per-entry
-    /// decode, no copies. v1 (or any pre-v2) files fall back to the
-    /// owned decode path, since their planes are unaligned.
-    ///
-    /// The trust model differs from [`LabelStore::from_bytes`]: the
-    /// per-entry invariant scans (rank ascent, varint well-formedness,
-    /// dictionary-code range) are vouched for by the payload checksum —
-    /// written by the same validated writer — instead of being re-proven
-    /// element by element. Loading still never panics on any input, and
-    /// every query path is bounds-checked safe Rust, so even an
-    /// adversarial file that engineered a checksum collision could only
-    /// cause a query-time panic or wrong distance, never unsoundness.
-    /// For untrusted bytes, use the owned path.
-    pub fn from_region(
-        region: &Arc<MmapRegion>,
-        expected_nodes: usize,
-        expected_graph_hash: u64,
-    ) -> Result<LabelStore, PersistError> {
-        Self::from_region_impl(region, expected_nodes, expected_graph_hash, false)
-    }
-
-    /// [`LabelStore::from_region`] plus, when `ranks_are_vertex_ranks`,
-    /// the PLL-level vertex-rank bound — enforced in O(1) via the v2
-    /// header's `max_rank` word instead of decoding the rank planes.
-    pub(crate) fn from_region_impl(
-        region: &Arc<MmapRegion>,
-        expected_nodes: usize,
-        expected_graph_hash: u64,
-        ranks_are_vertex_ranks: bool,
-    ) -> Result<LabelStore, PersistError> {
-        let bytes = region.as_bytes();
-        let header = Header::read(bytes, expected_nodes, expected_graph_hash)?;
-        if header.version < FORMAT_VERSION {
-            // Legacy layout: unaligned planes, byte-wise checksum, no
-            // max-rank word — decode into owned storage instead.
-            return LabelStore::from_bytes_impl(
-                bytes,
-                expected_nodes,
-                expected_graph_hash,
-                ranks_are_vertex_ranks,
-            );
-        }
-        header.verify_checksum(&bytes[HEADER_LEN..])?;
-
-        let nodes = header.fp.nodes as usize;
-        let entries = header.fp.entries as usize;
-        let mut cur = BorrowCursor::new(region);
-        // The v2 max-rank word is the O(1) stand-in for decoding the
-        // rank planes (the owned path cross-checks it at write/load
-        // time, so it is as trustworthy as the planes themselves).
-        let max_rank = cur.u64()?;
-        if ranks_are_vertex_ranks && entries > 0 && max_rank >= header.fp.nodes {
-            return Err(PersistError::Corrupt("hub rank exceeds node count"));
-        }
-        let store = match header.storage {
-            LabelStorage::Csr => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let hub_ranks: Plane<u32> = cur.plane()?;
-                let dists: Plane<f64> = cur.plane()?;
-                cur.finish()?;
-                if hub_ranks.len() != entries || dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                LabelStore::Csr(LabelSet {
-                    offsets,
-                    hub_ranks,
-                    dists,
-                })
-            }
-            LabelStorage::Compressed => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let byte_offsets: Plane<u32> = cur.plane()?;
-                let rank_bytes: Plane<u8> = cur.plane()?;
-                let dists: Plane<f64> = cur.plane()?;
-                cur.finish()?;
-                if dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                validate_byte_offsets(&byte_offsets, nodes, rank_bytes.len())?;
-                LabelStore::Compressed(CompressedLabelSet {
-                    offsets,
-                    byte_offsets,
-                    rank_bytes,
-                    dists,
-                })
-            }
-            LabelStorage::CsrDict => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let hub_ranks: Plane<u32> = cur.plane()?;
-                let table: Plane<f64> = cur.plane()?;
-                let codes = borrow_code_plane(&mut cur)?;
-                cur.finish()?;
-                if hub_ranks.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let dists = DistDict { table, codes };
-                validate_dict_shape(&dists, entries)?;
-                LabelStore::CsrDict(DictLabelSet {
-                    offsets,
-                    hub_ranks,
-                    dists,
-                })
-            }
-            LabelStorage::CompressedDict => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let byte_offsets: Plane<u32> = cur.plane()?;
-                let rank_bytes: Plane<u8> = cur.plane()?;
-                let table: Plane<f64> = cur.plane()?;
-                let codes = borrow_code_plane(&mut cur)?;
-                cur.finish()?;
-                validate_offsets(&offsets, nodes, entries)?;
-                validate_byte_offsets(&byte_offsets, nodes, rank_bytes.len())?;
-                let dists = DistDict { table, codes };
-                validate_dict_shape(&dists, entries)?;
-                LabelStore::CompressedDict(CompressedDictLabelSet {
-                    offsets,
-                    byte_offsets,
-                    rank_bytes,
-                    dists,
-                })
-            }
-        };
-        Ok(store)
-    }
-
-    /// Memory-maps the index at `path` and borrows every label plane in
-    /// place — the zero-copy counterpart of [`LabelStore::load_from`].
-    /// Same staleness and checksum guarantees; see
-    /// [`LabelStore::from_region`] for what per-entry validation is
-    /// traded for the checksum, and [`IndexLoadMode`] for when to pick
-    /// which. The returned store pins the mapping for as long as it (or
-    /// anything cloned from it) lives; [`LabelStore::is_zero_copy`]
-    /// reports whether borrowing actually happened (a v1 file loads via
-    /// the owned fallback).
-    pub fn load_mmap(path: &Path, graph: &ExpertGraph) -> Result<LabelStore, PersistError> {
-        let region = MmapRegion::map_file(path)?;
-        LabelStore::from_region(&region, graph.num_nodes(), graph_fingerprint(graph))
-    }
-
-    /// Saves this store to `path` as a versioned dump fingerprinted with
-    /// `graph` (the graph the index was built from). The write goes
+    /// Saves this label set to `path` as a versioned dump fingerprinted
+    /// with `graph` (the graph the index was built from). The write goes
     /// through [`atomic_write`]: a uniquely-named sibling temp file
     /// (extension appended, pid + sequence suffixed — concurrent savers
     /// never share a temp path) and an atomic rename, so a crashed or
@@ -1565,50 +922,26 @@ impl LabelStore {
         atomic_write(path, &bytes).map_err(PersistError::Io)
     }
 
-    /// Loads a store from `path`, rejecting files whose fingerprint does
-    /// not match `graph` (see [`LabelStore::from_bytes`] for the
+    /// Loads a label set from `path`, rejecting files whose fingerprint
+    /// does not match `graph` (see [`LabelSet::from_bytes`] for the
     /// validation guarantees).
-    pub fn load_from(path: &Path, graph: &ExpertGraph) -> Result<LabelStore, PersistError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        LabelStore::from_bytes(&bytes, graph.num_nodes(), graph_fingerprint(graph))
-    }
-
-    /// [`LabelStore::save_to`] under a [`RetryPolicy`]: transient I/O
-    /// failures are retried with capped backoff; structural failures
-    /// cannot occur on save.
-    pub fn save_to_with_retry(
-        &self,
-        path: &Path,
-        graph: &ExpertGraph,
-        retry: &RetryPolicy,
-    ) -> Result<(), PersistError> {
-        retry.run(|_| self.save_to(path, graph))
-    }
-
-    /// [`LabelStore::load_from`] under a [`RetryPolicy`]: transient I/O
-    /// failures are retried with capped backoff; a stale, corrupt, or
-    /// truncated file fails immediately (re-reading cannot fix bytes).
-    pub fn load_from_with_retry(
-        path: &Path,
-        graph: &ExpertGraph,
-        retry: &RetryPolicy,
-    ) -> Result<LabelStore, PersistError> {
-        retry.run(|_| LabelStore::load_from(path, graph))
+    pub fn load_from(path: &Path, graph: &ExpertGraph) -> Result<LabelSet, PersistError> {
+        let bytes = std::fs::read(path)?;
+        LabelSet::from_bytes(&bytes, graph.num_nodes(), graph_fingerprint(graph))
     }
 }
 
 impl PrunedLandmarkLabeling {
-    /// Persists this index to `path`; see [`LabelStore::save_to`].
+    /// Persists this index to `path`; see [`LabelSet::save_to`].
     pub fn save_to(&self, path: &Path, graph: &ExpertGraph) -> Result<(), PersistError> {
         self.labels().save_to(path, graph)
     }
 
     /// Loads a previously saved index for `graph` from `path` — the fast
-    /// half of the load-or-build cold start. On top of the store-level
+    /// half of the load-or-build cold start. On top of the label-set
     /// validation this requires every hub rank to be a valid vertex rank
     /// (`< num_nodes`), which is what lets [`SourceScatter`] scratch
-    /// arrays stay direct-indexed and unchecked.
+    /// arrays stay direct-indexed.
     ///
     /// The loaded index answers every query bit-identically to the build
     /// that produced the file; its build profile is empty and
@@ -1620,60 +953,20 @@ impl PrunedLandmarkLabeling {
         graph: &ExpertGraph,
     ) -> Result<PrunedLandmarkLabeling, PersistError> {
         let start = Instant::now();
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
+        let bytes = std::fs::read(path)?;
         // The rank bound rides inside the one structural validation pass
-        // — the load path never decodes the labels a second time.
-        let store =
-            LabelStore::from_bytes_impl(&bytes, graph.num_nodes(), graph_fingerprint(graph), true)?;
+        // — the load path never scans the labels a second time.
+        let labels =
+            LabelSet::from_bytes_impl(&bytes, graph.num_nodes(), graph_fingerprint(graph), true)?;
         Ok(PrunedLandmarkLabeling::from_loaded_store(
-            store,
+            labels,
             start.elapsed(),
         ))
     }
 
-    /// Memory-maps a previously saved index for `graph` — the zero-copy
-    /// counterpart of [`PrunedLandmarkLabeling::load_from`], selected by
-    /// [`IndexLoadMode::Mmap`]. Format-v2 planes are borrowed straight
-    /// from the page cache (no decode, no copy; see
-    /// [`LabelStore::load_mmap`]); v1 files fall back to the owned
-    /// decode. The PLL-level vertex-rank bound is enforced in O(1) via
-    /// the v2 header's `max_rank` field, which the owned write/load
-    /// paths keep cross-checked against the actual label planes.
-    ///
-    /// Queries are bit-identical to [`PrunedLandmarkLabeling::load_from`]
-    /// and to the build that produced the file.
-    pub fn load_mmap(
-        path: &Path,
-        graph: &ExpertGraph,
-    ) -> Result<PrunedLandmarkLabeling, PersistError> {
-        let start = Instant::now();
-        let region = MmapRegion::map_file(path)?;
-        let store = LabelStore::from_region_impl(
-            &region,
-            graph.num_nodes(),
-            graph_fingerprint(graph),
-            true,
-        )?;
-        Ok(PrunedLandmarkLabeling::from_loaded_store(
-            store,
-            start.elapsed(),
-        ))
-    }
-
-    /// [`PrunedLandmarkLabeling::load_mmap`] under a [`RetryPolicy`] —
-    /// transient I/O failures retried, structural failures immediate,
-    /// exactly like [`PrunedLandmarkLabeling::load_from_with_retry`].
-    pub fn load_mmap_with_retry(
-        path: &Path,
-        graph: &ExpertGraph,
-        retry: &RetryPolicy,
-    ) -> Result<PrunedLandmarkLabeling, PersistError> {
-        retry.run(|_| PrunedLandmarkLabeling::load_mmap(path, graph))
-    }
-
-    /// [`PrunedLandmarkLabeling::save_to`] under a [`RetryPolicy`] —
-    /// see [`LabelStore::save_to_with_retry`].
+    /// [`PrunedLandmarkLabeling::save_to`] under a [`RetryPolicy`]:
+    /// transient I/O failures are retried with capped backoff;
+    /// structural failures cannot occur on save.
     pub fn save_to_with_retry(
         &self,
         path: &Path,
@@ -1683,10 +976,12 @@ impl PrunedLandmarkLabeling {
         retry.run(|_| self.save_to(path, graph))
     }
 
-    /// [`PrunedLandmarkLabeling::load_from`] under a [`RetryPolicy`] —
-    /// see [`LabelStore::load_from_with_retry`]. This is the load half
-    /// used by both the `DiscoveryOptions::pll_index_path` cold start
-    /// and the background snapshot-swap thread in `atd-serve`.
+    /// [`PrunedLandmarkLabeling::load_from`] under a [`RetryPolicy`]:
+    /// transient I/O failures are retried with capped backoff; a stale,
+    /// corrupt, or truncated file fails immediately (re-reading cannot
+    /// fix bytes). This is the load half used by both the
+    /// `DiscoveryOptions::pll_index_path` cold start and the background
+    /// snapshot-swap thread in `atd-serve`.
     pub fn load_from_with_retry(
         path: &Path,
         graph: &ExpertGraph,
@@ -1713,51 +1008,39 @@ mod tests {
         ]
     }
 
-    fn stores() -> Vec<LabelStore> {
-        let l = lists();
-        vec![
-            LabelStore::from(LabelSet::from_lists(&l)),
-            LabelStore::from(CompressedLabelSet::from_lists(&l)),
-            LabelStore::from(DictLabelSet::from_lists(&l)),
-            LabelStore::from(CompressedDictLabelSet::from_lists(&l)),
-        ]
-    }
-
     const HASH: u64 = 0xfeed_f00d;
 
+    /// Round-trips the one label backend, flat CSR, bit-identically.
     #[test]
     fn roundtrips_every_backend_bit_identically() {
-        for store in stores() {
-            let bytes = store.to_bytes(HASH);
-            let loaded = LabelStore::from_bytes(&bytes, store.num_nodes(), HASH)
-                .unwrap_or_else(|err| panic!("{:?}: {err}", store.storage()));
-            assert_eq!(loaded.storage(), store.storage());
-            assert_eq!(loaded.stats(), store.stats());
-            for v in 0..store.num_nodes() {
-                let a: Vec<LabelEntry> = store.entries(v).collect();
-                let b: Vec<LabelEntry> = loaded.entries(v).collect();
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.hub_rank, y.hub_rank);
-                    assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-                }
+        let store = LabelSet::from_lists(&lists());
+        let bytes = store.to_bytes(HASH);
+        let loaded = LabelSet::from_bytes(&bytes, store.num_nodes(), HASH).unwrap();
+        assert_eq!(loaded.stats(), store.stats());
+        for v in 0..store.num_nodes() {
+            let a: Vec<LabelEntry> = store.entries(v).collect();
+            let b: Vec<LabelEntry> = loaded.entries(v).collect();
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.hub_rank, y.hub_rank);
+                assert_eq!(x.dist.to_bits(), y.dist.to_bits());
             }
         }
     }
 
     #[test]
     fn stale_fingerprints_are_rejected() {
-        let store = &stores()[0];
+        let store = LabelSet::from_lists(&lists());
         let bytes = store.to_bytes(HASH);
         assert!(matches!(
-            LabelStore::from_bytes(&bytes, store.num_nodes(), HASH + 1),
+            LabelSet::from_bytes(&bytes, store.num_nodes(), HASH + 1),
             Err(PersistError::StaleIndex {
                 what: "graph hash",
                 ..
             })
         ));
         assert!(matches!(
-            LabelStore::from_bytes(&bytes, store.num_nodes() + 1, HASH),
+            LabelSet::from_bytes(&bytes, store.num_nodes() + 1, HASH),
             Err(PersistError::StaleIndex { what: "nodes", .. })
         ));
     }
@@ -1790,7 +1073,7 @@ mod tests {
         let v = b.add_node(2.0);
         b.add_edge(u, v, 0.5).unwrap();
         let g = b.build().unwrap();
-        let store = LabelStore::from(LabelSet::from_lists(&[vec![e(0, 0.0)], vec![e(0, 0.5)]]));
+        let store = LabelSet::from_lists(&[vec![e(0, 0.0)], vec![e(0, 0.5)]]);
         let bytes = store.to_bytes(graph_fingerprint(&g));
         let read = SnapshotFingerprint::read_from_bytes(&bytes).unwrap();
         assert_eq!(read, SnapshotFingerprint::of(&g, &store));
@@ -1804,15 +1087,9 @@ mod tests {
 
     #[test]
     fn empty_stores_roundtrip() {
-        for store in [
-            LabelStore::from(LabelSet::new(0)),
-            LabelStore::from(LabelSet::new(3)),
-            LabelStore::from(CompressedLabelSet::new(3)),
-            LabelStore::from(DictLabelSet::from_lists(&[vec![], vec![]])),
-            LabelStore::from(CompressedDictLabelSet::from_lists(&[vec![]])),
-        ] {
+        for store in [LabelSet::new(0), LabelSet::new(3)] {
             let bytes = store.to_bytes(0);
-            let loaded = LabelStore::from_bytes(&bytes, store.num_nodes(), 0).expect("roundtrip");
+            let loaded = LabelSet::from_bytes(&bytes, store.num_nodes(), 0).expect("roundtrip");
             assert_eq!(loaded.stats(), store.stats());
         }
     }
@@ -1926,7 +1203,7 @@ mod tests {
         let v = b.add_node(2.0);
         b.add_edge(u, v, 0.5).unwrap();
         let g = b.build().unwrap();
-        let store = LabelStore::from(LabelSet::from_lists(&[vec![e(0, 0.0)], vec![e(0, 0.5)]]));
+        let store = LabelSet::from_lists(&[vec![e(0, 0.0)], vec![e(0, 0.5)]]);
         let dir = std::env::temp_dir().join(format!("atd_retry_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("late.atdl");
@@ -1939,7 +1216,7 @@ mod tests {
         let loaded = policy
             .run_with_sleep(
                 |_| {
-                    let r = LabelStore::load_from(&path, &g);
+                    let r = LabelSet::load_from(&path, &g);
                     if r.is_err() {
                         // Save so the *next* attempt sees the file.
                         store.save_to(&path, &g).unwrap();

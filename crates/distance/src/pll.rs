@@ -56,8 +56,7 @@ use std::time::{Duration, Instant};
 
 use atd_graph::{ExpertGraph, MinHeapEntry, NodeId, TotalF64};
 
-use crate::codec::{LabelStorage, LabelStore};
-use crate::label::{LabelEntry, LabelSetBuilder, LabelStats, ShardedJournal};
+use crate::label::{LabelEntry, LabelSet, LabelSetBuilder, LabelStats, ShardedJournal};
 use crate::oracle::DistanceOracle;
 use crate::order::{compute_order, VertexOrder};
 use crate::scatter::SourceScatter;
@@ -70,14 +69,14 @@ use crate::scatter::SourceScatter;
 /// tested against).
 ///
 /// ```
-/// use atd_distance::{BuildConfig, LabelStorage};
-/// // Sequential build that keeps its labels compressed:
+/// use atd_distance::BuildConfig;
+/// // Sequential build with a tight incremental-refresh budget:
 /// let config = BuildConfig {
-///     storage: LabelStorage::Compressed,
+///     incremental_hub_budget: Some(8),
 ///     ..BuildConfig::sequential()
 /// };
 /// assert_eq!(config.threads, Some(1));
-/// assert_eq!(BuildConfig::default().storage, LabelStorage::Csr);
+/// assert_eq!(BuildConfig::default().threads, None);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BuildConfig {
@@ -86,12 +85,6 @@ pub struct BuildConfig {
     /// Upper bound on hubs per rank batch; batches ramp `1, 2, 4, …` up to
     /// this cap.
     pub batch_size: usize,
-    /// Physical label representation the built index keeps — flat CSR or
-    /// delta+varint ranks × flat `f64` or dictionary-coded distances
-    /// (see [`LabelStorage`]). Queries are bit-identical for every
-    /// backend; this trades memory footprint against per-entry decode
-    /// work.
-    pub storage: LabelStorage,
     /// Maximum affected hubs an incremental refresh
     /// ([`crate::incremental::refresh`]) may re-search before bailing out
     /// to a full rebuild. `None` picks `max(64, n / 2)` — per-hub patch
@@ -107,7 +100,6 @@ impl Default for BuildConfig {
         BuildConfig {
             threads: None,
             batch_size: 64,
-            storage: LabelStorage::Csr,
             incremental_hub_budget: None,
         }
     }
@@ -350,7 +342,7 @@ pub(crate) fn run_pruned_search<L: PruneLabels>(
 /// [`PrunedLandmarkLabeling::build`] for construction.
 #[derive(Debug)]
 pub struct PrunedLandmarkLabeling {
-    labels: LabelStore,
+    labels: LabelSet,
     num_nodes: usize,
     build_time: Duration,
     profile: BuildProfile,
@@ -399,32 +391,20 @@ impl PrunedLandmarkLabeling {
             Self::build_batched(g, &order, threads, cap, &mut labels, &mut profile);
         }
 
-        // The journaled labels convert straight into the configured
-        // storage — the compressed paths never materialize the CSR
-        // arrays, and the dict paths never materialize the flat f64
-        // distance array.
-        let labels = match config.storage {
-            LabelStorage::Csr => LabelStore::Csr(labels.finish()),
-            LabelStorage::Compressed => LabelStore::Compressed(labels.finish_compressed()),
-            LabelStorage::CsrDict => LabelStore::CsrDict(labels.finish_csr_dict()),
-            LabelStorage::CompressedDict => {
-                LabelStore::CompressedDict(labels.finish_compressed_dict())
-            }
-        };
         PrunedLandmarkLabeling {
-            labels,
+            labels: labels.finish(),
             num_nodes: n,
             build_time: start.elapsed(),
             profile,
         }
     }
 
-    /// Wraps a label store deserialized by `persist.rs` (which has
-    /// already validated it against the graph): no construction happened,
-    /// so the profile is empty and `build_time` records the load wall
-    /// time.
+    /// Wraps a label set deserialized by `persist.rs` (which has already
+    /// validated it against the graph) or patched by `incremental.rs`: no
+    /// construction happened, so the profile is empty and `build_time`
+    /// records the load or patch wall time.
     pub(crate) fn from_loaded_store(
-        labels: LabelStore,
+        labels: LabelSet,
         load_time: Duration,
     ) -> PrunedLandmarkLabeling {
         PrunedLandmarkLabeling {
@@ -743,17 +723,10 @@ impl PrunedLandmarkLabeling {
         self.labels.query(u.index(), v.index())
     }
 
-    /// The underlying label store — CSR or compressed, per
-    /// [`BuildConfig::storage`] — for scatter queries and diagnostics.
+    /// The underlying CSR label set, for scatter queries and diagnostics.
     #[inline]
-    pub fn labels(&self) -> &LabelStore {
+    pub fn labels(&self) -> &LabelSet {
         &self.labels
-    }
-
-    /// The physical storage backend this index was built with.
-    #[inline]
-    pub fn storage(&self) -> LabelStorage {
-        self.labels.storage()
     }
 
     /// A one-to-many query scratch sized for this index. Allocate one per
@@ -819,8 +792,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Asserts two indices carry bitwise-equal label sets (regardless of
-    /// each index's physical storage backend).
+    /// Asserts two indices carry bitwise-equal label sets.
     fn assert_bit_identical(a: &PrunedLandmarkLabeling, b: &PrunedLandmarkLabeling, ctx: &str) {
         assert_eq!(a.num_nodes(), b.num_nodes(), "{ctx}: node counts differ");
         for v in 0..a.num_nodes() {
@@ -1020,76 +992,27 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_storage_is_bit_identical_and_compression_is_smaller() {
-        let g = grid(6, 6);
-        let csr = PrunedLandmarkLabeling::build(&g);
-        assert_eq!(csr.storage(), LabelStorage::Csr);
-        let a = csr.stats();
-        for storage in &LabelStorage::ALL[1..] {
-            let other = PrunedLandmarkLabeling::build_with_config(
-                &g,
-                VertexOrder::DegreeDescending,
-                &BuildConfig {
-                    storage: *storage,
-                    ..BuildConfig::default()
-                },
-            );
-            assert_eq!(other.storage(), *storage);
-            assert_bit_identical(&csr, &other, storage.name());
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    assert_eq!(
-                        csr.query_raw(u, v).to_bits(),
-                        other.query_raw(u, v).to_bits(),
-                        "{} query ({u},{v})",
-                        storage.name()
-                    );
-                }
-            }
-            let b = other.stats();
-            assert_eq!(a.total_entries, b.total_entries);
-            assert_eq!(a.max_entries, b.max_entries);
-            assert!(
-                b.bytes < a.bytes,
-                "{} {} !< csr {}",
-                storage.name(),
-                b.bytes,
-                a.bytes
-            );
-            assert_eq!(
-                b.bytes,
-                b.offsets_bytes + b.ranks_bytes + b.dists_bytes + b.dict_bytes,
-                "{} plane breakdown must sum to the total",
-                storage.name()
-            );
-        }
-    }
-
+    /// The one label storage (flat CSR), whether fresh from the build or
+    /// re-read from its on-disk bytes, answers every one-to-many query
+    /// bit-identically to the pairwise merge-join of the built index.
     #[test]
     fn every_storage_scatter_agrees() {
         let g = grid(5, 4);
-        let csr = PrunedLandmarkLabeling::build(&g);
-        let mut sc_csr = csr.scatter();
-        for storage in &LabelStorage::ALL[1..] {
-            let other = PrunedLandmarkLabeling::build_with_config(
-                &g,
-                VertexOrder::DegreeDescending,
-                &BuildConfig {
-                    storage: *storage,
-                    ..BuildConfig::default()
-                },
-            );
-            let mut sc_other = other.scatter();
+        let built = PrunedLandmarkLabeling::build(&g);
+        let bytes = built.labels().to_bytes(0xfeed);
+        let loaded = PrunedLandmarkLabeling::from_loaded_store(
+            LabelSet::from_bytes(&bytes, g.num_nodes(), 0xfeed).unwrap(),
+            Duration::ZERO,
+        );
+        for (name, pll) in [("built", &built), ("loaded", &loaded)] {
+            let mut sc = pll.scatter();
             for u in g.nodes() {
-                csr.load_source(&mut sc_csr, u);
-                other.load_source(&mut sc_other, u);
+                pll.load_source(&mut sc, u);
                 for v in g.nodes() {
                     assert_eq!(
-                        csr.query_one_to_many(&sc_csr, v).map(f64::to_bits),
-                        other.query_one_to_many(&sc_other, v).map(f64::to_bits),
-                        "{} one-to-many ({u},{v})",
-                        storage.name()
+                        pll.query_one_to_many(&sc, v).map(f64::to_bits),
+                        built.distance(u, v).map(f64::to_bits),
+                        "{name} one-to-many ({u},{v})"
                     );
                 }
             }

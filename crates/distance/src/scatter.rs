@@ -11,26 +11,11 @@
 //! This is the same trick PLL construction uses internally to prune
 //! (`pll.rs` scatters each hub's label before its Dijkstra); this module
 //! promotes it to a public query API. [`SourceScatter`] answers exactly
-//! what [`LabelStore::query`] answers — bit-identical results, including
+//! what [`LabelSet::query`] answers — bit-identical results, including
 //! `INFINITY` for disconnected pairs — because it evaluates the same sums
 //! over the same common hubs in the same (ascending-rank) order.
-//!
-//! Every label storage backend is supported: against the flat CSR
-//! backend the target pass reads ranks directly from the slice; against
-//! the compressed backend
-//! ([`CompressedLabelSet`](crate::codec::CompressedLabelSet)) it decodes
-//! the target's delta+varint block in the same single forward pass,
-//! accumulating ranks as it goes; against the dictionary-distance
-//! backends ([`DictLabelSet`](crate::dict::DictLabelSet),
-//! [`CompressedDictLabelSet`](crate::dict::CompressedDictLabelSet)) the
-//! source's label is decoded to the `f64` scratch **once** at load time,
-//! so the per-holder hot loop pays at most one table lookup per entry.
-//! The scatter array is direct-indexed identically in all cases, so the
-//! sums (and their bits) cannot differ.
 
-use crate::codec::{read_varint, LabelStore, PREV_NONE};
-use crate::dict::{CodesRef, DistCode};
-use crate::label::LabelEntry;
+use crate::label::{LabelEntry, LabelSet};
 
 /// Reusable scratch for one-to-many label queries.
 ///
@@ -42,11 +27,11 @@ use crate::label::LabelEntry;
 /// Typical root-scan shape (one scratch per worker thread):
 ///
 /// ```
-/// # use atd_distance::{LabelEntry, LabelSet, LabelStore, SourceScatter};
-/// # let labels = LabelStore::from(LabelSet::from_lists(&[
+/// # use atd_distance::{LabelEntry, LabelSet, SourceScatter};
+/// # let labels = LabelSet::from_lists(&[
 /// #     vec![LabelEntry { hub_rank: 0, dist: 0.0 }],
 /// #     vec![LabelEntry { hub_rank: 0, dist: 2.0 }],
-/// # ]));
+/// # ]);
 /// let mut scatter = SourceScatter::for_labels(&labels);
 /// for root in 0..labels.num_nodes() {
 ///     scatter.load(&labels, root);
@@ -77,7 +62,7 @@ impl SourceScatter {
     }
 
     /// Scratch sized for `labels`.
-    pub fn for_labels(labels: &LabelStore) -> Self {
+    pub fn for_labels(labels: &LabelSet) -> Self {
         Self::new(labels.num_nodes())
     }
 
@@ -106,46 +91,19 @@ impl SourceScatter {
         self.source = None;
     }
 
-    /// Loads `source`'s label, replacing any previous source. For the
-    /// compressed and dictionary backends this is the **one-time
-    /// per-source scatter decode**: the block (and any dict codes) is
-    /// decoded to the `f64` scratch once here, after which every target
-    /// query direct-indexes the scatter array without touching the
-    /// source's label again.
-    pub fn load(&mut self, labels: &LabelStore, source: usize) {
+    /// Loads `source`'s label, replacing any previous source.
+    pub fn load(&mut self, labels: &LabelSet, source: usize) {
         self.clear();
-        match labels {
-            LabelStore::Csr(l) => {
-                let label = l.of(source);
-                for (&rank, &dist) in label.hub_ranks.iter().zip(label.dists) {
-                    self.hub_dist[rank as usize] = dist;
-                    self.touched.push(rank);
-                }
-            }
-            LabelStore::Compressed(l) => {
-                for e in l.decode(source) {
-                    self.hub_dist[e.hub_rank as usize] = e.dist;
-                    self.touched.push(e.hub_rank);
-                }
-            }
-            LabelStore::CsrDict(l) => {
-                for e in l.entries(source) {
-                    self.hub_dist[e.hub_rank as usize] = e.dist;
-                    self.touched.push(e.hub_rank);
-                }
-            }
-            LabelStore::CompressedDict(l) => {
-                for e in l.decode(source) {
-                    self.hub_dist[e.hub_rank as usize] = e.dist;
-                    self.touched.push(e.hub_rank);
-                }
-            }
+        let label = labels.of(source);
+        for (&rank, &dist) in label.hub_ranks.iter().zip(label.dists) {
+            self.hub_dist[rank as usize] = dist;
+            self.touched.push(rank);
         }
         self.source = Some(source);
     }
 
     /// Loads a label presented as an entry iterator (used by PLL
-    /// construction, whose labels live in a builder, not a [`LabelStore`]).
+    /// construction, whose labels live in a builder, not a [`LabelSet`]).
     /// `source` is recorded as the loaded node.
     pub fn load_entries(&mut self, source: usize, entries: impl IntoIterator<Item = LabelEntry>) {
         self.clear();
@@ -170,8 +128,6 @@ impl SourceScatter {
     /// per target entry: hubs absent from the source's label contribute
     /// `INFINITY + d`, which can never win, so no rank comparison is
     /// needed. Same sums, same order, same float result as the merge-join.
-    /// The compressed path decodes the target's block in the same forward
-    /// pass, so it evaluates literally the same expressions.
     ///
     /// # Panics
     ///
@@ -181,102 +137,26 @@ impl SourceScatter {
     /// pair, turning a caller bug into "all nodes disconnected"; the
     /// check is one predictable branch against a full label scan.
     #[inline]
-    pub fn distance(&self, labels: &LabelStore, target: usize) -> f64 {
+    pub fn distance(&self, labels: &LabelSet, target: usize) -> f64 {
         assert!(
             self.source.is_some(),
             "SourceScatter::distance called with no source loaded (call load first)"
         );
+        let label = labels.of(target);
         let mut best = f64::INFINITY;
-        match labels {
-            LabelStore::Csr(l) => {
-                let label = l.of(target);
-                for (&rank, &dist) in label.hub_ranks.iter().zip(label.dists) {
-                    let d = self.hub_dist[rank as usize] + dist;
-                    if d < best {
-                        best = d;
-                    }
-                }
-            }
-            LabelStore::Compressed(l) => {
-                for e in l.decode(target) {
-                    let d = self.hub_dist[e.hub_rank as usize] + e.dist;
-                    if d < best {
-                        best = d;
-                    }
-                }
-            }
-            LabelStore::CsrDict(l) => {
-                // One width dispatch per target, then a monomorphized
-                // scan: rank read + code read + one table lookup per
-                // entry.
-                let (lo, hi) = l.bounds(target);
-                let ranks = l.ranks_of(target);
-                let table = l.dict().table();
-                best = match l.dict().codes_in(lo, hi) {
-                    CodesRef::U8(c) => csr_dict_scan(ranks, c, table, &self.hub_dist),
-                    CodesRef::U16(c) => csr_dict_scan(ranks, c, table, &self.hub_dist),
-                    CodesRef::U32(c) => csr_dict_scan(ranks, c, table, &self.hub_dist),
-                };
-            }
-            LabelStore::CompressedDict(l) => {
-                let (bytes, lo, hi) = l.block(target);
-                let table = l.dict().table();
-                best = match l.dict().codes_in(lo, hi) {
-                    CodesRef::U8(c) => varint_dict_scan(bytes, c, table, &self.hub_dist),
-                    CodesRef::U16(c) => varint_dict_scan(bytes, c, table, &self.hub_dist),
-                    CodesRef::U32(c) => varint_dict_scan(bytes, c, table, &self.hub_dist),
-                };
+        for (&rank, &dist) in label.hub_ranks.iter().zip(label.dists) {
+            let d = self.hub_dist[rank as usize] + dist;
+            if d < best {
+                best = d;
             }
         }
         best
     }
 }
 
-/// The dict-backend target pass over flat CSR ranks, monomorphized per
-/// code width: same sums in the same order as the flat-dist scan, with
-/// `dist` read through the dictionary table (identical bit pattern).
-#[inline]
-fn csr_dict_scan<C: DistCode>(ranks: &[u32], codes: &[C], table: &[f64], hub_dist: &[f64]) -> f64 {
-    let mut best = f64::INFINITY;
-    for (&rank, &code) in ranks.iter().zip(codes) {
-        let d = hub_dist[rank as usize] + table[code.idx()];
-        if d < best {
-            best = d;
-        }
-    }
-    best
-}
-
-/// The dict-backend target pass over a delta+varint rank block,
-/// monomorphized per code width: one forward varint decode with a
-/// parallel code cursor, one table lookup per entry.
-#[inline]
-fn varint_dict_scan<C: DistCode>(
-    bytes: &[u8],
-    codes: &[C],
-    table: &[f64],
-    hub_dist: &[f64],
-) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut pos = 0usize;
-    let mut prev = PREV_NONE;
-    for &code in codes {
-        let delta = read_varint(bytes, &mut pos);
-        let rank = prev.wrapping_add(delta).wrapping_add(1);
-        prev = rank;
-        let d = hub_dist[rank as usize] + table[code.idx()];
-        if d < best {
-            best = d;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::CompressedLabelSet;
-    use crate::label::LabelSet;
 
     fn e(hub_rank: u32, dist: f64) -> LabelEntry {
         LabelEntry { hub_rank, dist }
@@ -291,48 +171,46 @@ mod tests {
         ]
     }
 
-    fn fixture() -> LabelStore {
-        LabelStore::from(LabelSet::from_lists(&lists()))
-    }
-
-    fn fixture_compressed() -> LabelStore {
-        LabelStore::from(CompressedLabelSet::from_lists(&lists()))
-    }
-
-    fn fixtures_all() -> Vec<LabelStore> {
-        use crate::dict::{CompressedDictLabelSet, DictLabelSet};
-        vec![
-            fixture(),
-            fixture_compressed(),
-            LabelStore::from(DictLabelSet::from_lists(&lists())),
-            LabelStore::from(CompressedDictLabelSet::from_lists(&lists())),
-        ]
+    fn fixture() -> LabelSet {
+        LabelSet::from_lists(&lists())
     }
 
     #[test]
     fn matches_merge_join_on_all_pairs() {
-        for ls in fixtures_all() {
-            let mut sc = SourceScatter::for_labels(&ls);
-            for u in 0..ls.num_nodes() {
-                sc.load(&ls, u);
-                assert_eq!(sc.source(), Some(u));
-                for v in 0..ls.num_nodes() {
-                    let (a, b) = (sc.distance(&ls, v), ls.query(u, v));
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "({u},{v}) on {:?}: scatter {a} vs merge {b}",
-                        ls.storage()
-                    );
-                }
+        let ls = fixture();
+        let mut sc = SourceScatter::for_labels(&ls);
+        for u in 0..ls.num_nodes() {
+            sc.load(&ls, u);
+            assert_eq!(sc.source(), Some(u));
+            for v in 0..ls.num_nodes() {
+                let (a, b) = (sc.distance(&ls, v), ls.query(u, v));
+                assert!(
+                    a.to_bits() == b.to_bits(),
+                    "({u},{v}): scatter {a} vs merge {b}"
+                );
             }
         }
     }
 
+    /// The scatter reads the CSR planes the same way however the store
+    /// was produced: from lists, from the construction builder, or
+    /// re-read from its on-disk bytes.
     #[test]
     fn storages_agree_bitwise() {
         let csr = fixture();
+        let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
+        for (v, list) in lists().into_iter().enumerate() {
+            flat.extend(list.into_iter().map(|entry| (v, entry)));
+        }
+        flat.sort_by_key(|&(v, entry)| (entry.hub_rank, v));
+        let mut builder = crate::label::LabelSetBuilder::new(csr.num_nodes());
+        for (v, entry) in flat {
+            builder.push(v, entry);
+        }
+        let built = builder.finish();
+        let loaded = LabelSet::from_bytes(&csr.to_bytes(7), csr.num_nodes(), 7).unwrap();
         let mut sc_csr = SourceScatter::for_labels(&csr);
-        for other in &fixtures_all()[1..] {
+        for (name, other) in [("builder", &built), ("loaded", &loaded)] {
             let mut sc_other = SourceScatter::for_labels(other);
             for u in 0..csr.num_nodes() {
                 sc_csr.load(&csr, u);
@@ -341,8 +219,7 @@ mod tests {
                     assert_eq!(
                         sc_csr.distance(&csr, v).to_bits(),
                         sc_other.distance(other, v).to_bits(),
-                        "({u},{v}) on {:?}",
-                        other.storage()
+                        "({u},{v}) on {name}"
                     );
                 }
             }

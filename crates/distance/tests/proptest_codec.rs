@@ -1,26 +1,19 @@
-//! The storage codecs' contract: delta+varint and dictionary round-trips
-//! are lossless (`encode → decode` reproduces every rank and every
-//! distance bit), the builder-direct conversions
-//! ([`LabelSetBuilder::finish_compressed`],
-//! [`LabelSetBuilder::finish_csr_dict`],
-//! [`LabelSetBuilder::finish_compressed_dict`]) match both the CSR
-//! conversion and the list encoders, and the pairwise merge-join of
-//! **every** storage backend is bit-identical to the CSR engine — on
-//! arbitrary label shapes, including empty labels, rank gaps spanning
-//! multiple varint bytes, zero distances, and heavy distance-value
-//! repetition (the case dictionary codes exist for).
+//! The label codec's contract, for the flat CSR [`LabelSet`]: encoding
+//! per-node label lists is lossless (`from_lists → entries` reproduces
+//! every rank and every distance bit), the builder the PLL construction
+//! journals into ([`LabelSetBuilder::finish`]) produces the same store as
+//! the list encoder, the merge-join answers exactly the min-plus over
+//! common hubs, and the stats count what the planes hold — on arbitrary
+//! label shapes, including empty labels, wide rank gaps, zero distances
+//! and heavy distance-value repetition.
 
-use atd_distance::{
-    CompressedDictLabelSet, CompressedLabelSet, DictLabelSet, LabelEntry, LabelSet,
-    LabelSetBuilder, LabelStorage, LabelStore,
-};
+use atd_distance::{LabelEntry, LabelSet, LabelSetBuilder};
 use proptest::prelude::*;
 
 /// Random per-node label lists: strictly ascending ranks built from
-/// random gaps (biased to cross the 1-byte/2-byte varint boundaries) and
-/// arbitrary non-negative distances (including exact zeros and heavy
-/// repetition — every third entry is drawn from a handful of quantized
-/// values, the shape the distance dictionary exists for).
+/// random gaps and arbitrary non-negative distances (including exact
+/// zeros and heavy repetition — every third entry is drawn from a
+/// handful of quantized values).
 fn random_lists() -> impl Strategy<Value = Vec<Vec<LabelEntry>>> {
     proptest::collection::vec(
         proptest::collection::vec((0u32..40_000, 0.0f64..50.0), 0..40),
@@ -61,193 +54,121 @@ fn random_lists() -> impl Strategy<Value = Vec<Vec<LabelEntry>>> {
     })
 }
 
-/// Every storage backend built from the same lists, CSR first — the
-/// sweep the equivalence proptests run. Order matches
-/// [`LabelStorage::ALL`].
-fn stores(lists: &[Vec<LabelEntry>]) -> Vec<LabelStore> {
-    vec![
-        LabelStore::from(LabelSet::from_lists(lists)),
-        LabelStore::from(CompressedLabelSet::from_lists(lists)),
-        LabelStore::from(DictLabelSet::from_lists(lists)),
-        LabelStore::from(CompressedDictLabelSet::from_lists(lists)),
-    ]
+/// The store the PLL construction path yields: pushes interleave across
+/// nodes in global rank order, the way the build journals entries.
+fn via_builder(lists: &[Vec<LabelEntry>]) -> LabelSet {
+    let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
+    for (v, list) in lists.iter().enumerate() {
+        for &entry in list {
+            flat.push((v, entry));
+        }
+    }
+    flat.sort_by_key(|&(v, entry)| (entry.hub_rank, v));
+    let mut b = LabelSetBuilder::new(lists.len());
+    for (v, entry) in flat {
+        b.push(v, entry);
+    }
+    b.finish()
+}
+
+/// Min over common hubs of `d(u, hub) + d(hub, v)`, straight from the
+/// lists by nested loops; `INFINITY` when no hub is shared.
+fn reference_query(a: &[LabelEntry], b: &[LabelEntry]) -> f64 {
+    let mut best = f64::INFINITY;
+    for x in a {
+        for y in b {
+            if x.hub_rank == y.hub_rank && x.dist + y.dist < best {
+                best = x.dist + y.dist;
+            }
+        }
+    }
+    best
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Lossless round-trip on **every** backend: every rank and every
-    /// distance bit survives `from_lists → entries`.
+    /// Lossless round-trip: every rank and every distance bit survives
+    /// `from_lists → entries`, and the slice view agrees with the
+    /// iterator.
     #[test]
     fn roundtrip_is_bit_exact(lists in random_lists()) {
-        for store in stores(&lists) {
-            let storage = store.storage();
-            prop_assert_eq!(store.num_nodes(), lists.len());
-            for (v, list) in lists.iter().enumerate() {
-                let decoded: Vec<LabelEntry> = store.entries(v).collect();
+        let store = LabelSet::from_lists(&lists);
+        prop_assert_eq!(store.num_nodes(), lists.len());
+        for (v, list) in lists.iter().enumerate() {
+            let decoded: Vec<LabelEntry> = store.entries(v).collect();
+            prop_assert_eq!(decoded.len(), list.len(), "node {} length", v);
+            prop_assert_eq!(store.of(v).len(), list.len(), "node {} view length", v);
+            for (i, (got, want)) in decoded.iter().zip(list).enumerate() {
+                prop_assert_eq!(got.hub_rank, want.hub_rank, "node {} entry {}", v, i);
                 prop_assert_eq!(
-                    decoded.len(), list.len(),
-                    "{:?} node {} length", storage, v
+                    got.dist.to_bits(),
+                    want.dist.to_bits(),
+                    "node {} entry {} dist {} vs {}",
+                    v, i, got.dist, want.dist
                 );
-                for (i, (got, want)) in decoded.iter().zip(list).enumerate() {
-                    prop_assert_eq!(
-                        got.hub_rank, want.hub_rank,
-                        "{:?} node {} entry {}", storage, v, i
-                    );
-                    prop_assert_eq!(
-                        got.dist.to_bits(),
-                        want.dist.to_bits(),
-                        "{:?} node {} entry {} dist {} vs {}",
-                        storage, v, i, got.dist, want.dist
-                    );
-                }
             }
         }
     }
 
-    /// All three construction paths produce the same store: list encoder,
-    /// CSR re-encoder, and the builder-direct conversion (which never
-    /// materializes the CSR arrays).
+    /// Both construction paths produce the same store: the list encoder
+    /// and the builder the PLL construction journals into.
     #[test]
     fn construction_paths_agree(lists in random_lists()) {
-        let via_lists = CompressedLabelSet::from_lists(&lists);
-        let csr = LabelSet::from_lists(&lists);
-        let via_csr = CompressedLabelSet::from_label_set(&csr);
-
-        // Builder pushes interleave across nodes in global rank order,
-        // the way PLL construction journals entries.
-        let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
-        for (v, list) in lists.iter().enumerate() {
-            for &entry in list {
-                flat.push((v, entry));
-            }
-        }
-        flat.sort_by_key(|&(v, entry)| (entry.hub_rank, v));
-        let mut b = LabelSetBuilder::new(lists.len());
-        for (v, entry) in flat {
-            b.push(v, entry);
-        }
-        let via_builder = b.finish_compressed();
-
+        let via_lists = LabelSet::from_lists(&lists);
+        let built = via_builder(&lists);
+        prop_assert_eq!(built.num_nodes(), via_lists.num_nodes());
         for v in 0..lists.len() {
-            let a: Vec<LabelEntry> = via_lists.decode(v).collect();
-            let b: Vec<LabelEntry> = via_csr.decode(v).collect();
-            let c: Vec<LabelEntry> = via_builder.decode(v).collect();
-            prop_assert_eq!(&a, &b, "from_label_set differs at node {}", v);
-            prop_assert_eq!(&a, &c, "finish_compressed differs at node {}", v);
-        }
-        prop_assert_eq!(via_lists.stats(), via_csr.stats());
-        prop_assert_eq!(via_lists.stats(), via_builder.stats());
-    }
-
-    /// Pairwise queries of every backend are bit-identical to the CSR
-    /// merge-join, including `INFINITY` for hub-disjoint labels.
-    #[test]
-    fn every_query_matches_csr(lists in random_lists()) {
-        let all = stores(&lists);
-        let csr = &all[0];
-        for other in &all[1..] {
-            for u in 0..lists.len() {
-                for v in 0..lists.len() {
-                    prop_assert_eq!(
-                        other.query(u, v).to_bits(),
-                        csr.query(u, v).to_bits(),
-                        "({},{}): {:?} {} vs csr {}",
-                        u, v, other.storage(), other.query(u, v), csr.query(u, v)
-                    );
-                }
-            }
-        }
-    }
-
-    /// The dict backends' three construction paths agree: the list
-    /// encoder, the CSR re-encoder, and the builder-direct conversions
-    /// (which never materialize the flat f64 distance array).
-    #[test]
-    fn dict_construction_paths_agree(lists in random_lists()) {
-        let csr = LabelSet::from_lists(&lists);
-        let build = || {
-            let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
-            for (v, list) in lists.iter().enumerate() {
-                for &entry in list {
-                    flat.push((v, entry));
-                }
-            }
-            flat.sort_by_key(|&(v, entry)| (entry.hub_rank, v));
-            let mut b = LabelSetBuilder::new(lists.len());
-            for (v, entry) in flat {
-                b.push(v, entry);
-            }
-            b
-        };
-
-        let d_lists = DictLabelSet::from_lists(&lists);
-        let d_csr = DictLabelSet::from_label_set(&csr);
-        let d_builder = build().finish_csr_dict();
-        let cd_lists = CompressedDictLabelSet::from_lists(&lists);
-        let cd_csr = CompressedDictLabelSet::from_label_set(&csr);
-        let cd_builder = build().finish_compressed_dict();
-        for v in 0..lists.len() {
-            let want: Vec<LabelEntry> = d_lists.entries(v).collect();
-            prop_assert_eq!(
-                &d_csr.entries(v).collect::<Vec<_>>(), &want,
-                "csr-dict from_label_set differs at node {}", v
-            );
-            prop_assert_eq!(
-                &d_builder.entries(v).collect::<Vec<_>>(), &want,
-                "finish_csr_dict differs at node {}", v
-            );
-            prop_assert_eq!(
-                &cd_lists.decode(v).collect::<Vec<_>>(), &want,
-                "compressed-dict from_lists differs at node {}", v
-            );
-            prop_assert_eq!(
-                &cd_csr.decode(v).collect::<Vec<_>>(), &want,
-                "compressed-dict from_label_set differs at node {}", v
-            );
-            prop_assert_eq!(
-                &cd_builder.decode(v).collect::<Vec<_>>(), &want,
-                "finish_compressed_dict differs at node {}", v
-            );
-        }
-        prop_assert_eq!(d_lists.stats(), d_csr.stats());
-        prop_assert_eq!(d_lists.stats(), d_builder.stats());
-        prop_assert_eq!(cd_lists.stats(), cd_csr.stats());
-        prop_assert_eq!(cd_lists.stats(), cd_builder.stats());
-    }
-
-    /// Stats of every backend agree on everything except the byte
-    /// footprint, which counts each backend's real arrays — and every
-    /// backend's plane breakdown sums to its total.
-    #[test]
-    fn stats_agree_except_bytes(lists in random_lists()) {
-        let all = stores(&lists);
-        let a = all[0].stats();
-        prop_assert_eq!(all[0].storage(), LabelStorage::Csr);
-        for store in &all {
-            let b = store.stats();
-            prop_assert_eq!(a.nodes, b.nodes);
-            prop_assert_eq!(a.total_entries, b.total_entries);
-            prop_assert_eq!(a.max_entries, b.max_entries);
-            prop_assert_eq!(a.avg_entries.to_bits(), b.avg_entries.to_bits());
-            prop_assert_eq!(
-                b.bytes,
-                b.offsets_bytes + b.ranks_bytes + b.dists_bytes + b.dict_bytes,
-                "{:?} plane breakdown must sum to the total", store.storage()
-            );
-            // stats_in must report exactly what a really-encoded store
-            // reports, from every source backend (the CSR source takes
-            // the direct re-encode path, the others the entry-list
-            // round-trip).
-            for source in &all {
+            let a: Vec<LabelEntry> = via_lists.entries(v).collect();
+            let b: Vec<LabelEntry> = built.entries(v).collect();
+            prop_assert_eq!(a.len(), b.len(), "finish differs in length at node {}", v);
+            for (x, y) in a.iter().zip(&b) {
+                prop_assert_eq!(x.hub_rank, y.hub_rank, "finish differs at node {}", v);
                 prop_assert_eq!(
-                    source.stats_in(store.storage()),
-                    b,
-                    "stats_in({:?}) from {:?}",
-                    store.storage(),
-                    source.storage()
+                    x.dist.to_bits(), y.dist.to_bits(),
+                    "finish differs at node {}", v
                 );
             }
         }
+        prop_assert_eq!(via_lists.stats(), built.stats());
+    }
+
+    /// Every pairwise merge-join query of the CSR store is bit-identical
+    /// to the min-plus over common hubs computed from the lists,
+    /// including `INFINITY` for hub-disjoint labels.
+    #[test]
+    fn every_query_matches_csr(lists in random_lists()) {
+        let store = LabelSet::from_lists(&lists);
+        for (u, a) in lists.iter().enumerate() {
+            for (v, b) in lists.iter().enumerate() {
+                let (got, want) = (store.query(u, v), reference_query(a, b));
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "({},{}): csr {} vs reference {}", u, v, got, want
+                );
+            }
+        }
+    }
+
+    /// Stats agree with counts taken from the lists on everything except
+    /// the byte footprint, which counts the real planes — and the plane
+    /// breakdown sums to the total.
+    #[test]
+    fn stats_agree_except_bytes(lists in random_lists()) {
+        let s = LabelSet::from_lists(&lists).stats();
+        let total: usize = lists.iter().map(Vec::len).sum();
+        prop_assert_eq!(s.nodes, lists.len());
+        prop_assert_eq!(s.total_entries, total);
+        prop_assert_eq!(s.max_entries, lists.iter().map(Vec::len).max().unwrap_or(0));
+        let avg = if lists.is_empty() { 0.0 } else { total as f64 / lists.len() as f64 };
+        prop_assert_eq!(s.avg_entries.to_bits(), avg.to_bits());
+        prop_assert_eq!(s.offsets_bytes, 4 * (lists.len() + 1));
+        prop_assert_eq!(s.ranks_bytes, 4 * total);
+        prop_assert_eq!(s.dists_bytes, 8 * total);
+        prop_assert_eq!(
+            s.bytes,
+            s.offsets_bytes + s.ranks_bytes + s.dists_bytes,
+            "plane breakdown must sum to the total"
+        );
     }
 }

@@ -1,16 +1,15 @@
-//! The incremental maintainer's contract: for ANY random graph, ANY
+//! The incremental maintainer's contract: for ANY random graph and ANY
 //! random mutation sequence (edge relaxations and edge insertions, via
-//! the real `GraphDelta` machinery), and EVERY storage backend, after
-//! every prefix of mutations the incrementally refreshed index is
-//! **bit-identical** to a from-scratch sequential build on the mutated
-//! graph — same ranks, same f64 bit patterns, same storage bytes. When
-//! `refresh` refuses a delta (order change, blown budget), the test
-//! rebuilds from scratch and keeps composing — exactly the fallback
-//! contract of the serving layer.
+//! the real `GraphDelta` machinery), after every prefix of mutations the
+//! incrementally refreshed index is **bit-identical** to a from-scratch
+//! sequential build on the mutated graph — same ranks, same f64 bit
+//! patterns, same label-plane bytes. When `refresh` refuses a delta
+//! (order change, blown budget), the test rebuilds from scratch and
+//! keeps composing — exactly the fallback contract of the serving layer.
 
 use atd_distance::incremental::refresh;
 use atd_distance::order::VertexOrder;
-use atd_distance::{BuildConfig, DistanceOracle, LabelStorage, PrunedLandmarkLabeling};
+use atd_distance::{BuildConfig, DistanceOracle, PrunedLandmarkLabeling};
 use atd_graph::{ExpertGraph, GraphBuilder, GraphDelta, NodeId};
 use proptest::prelude::*;
 
@@ -49,7 +48,7 @@ fn build(n: usize, edges: &[(u32, u32, f64)]) -> ExpertGraph {
     b.build().unwrap()
 }
 
-/// Bitwise equality across entries AND encoded storage bytes.
+/// Bitwise equality across entries AND label-plane bytes.
 fn bit_identical(a: &PrunedLandmarkLabeling, b: &PrunedLandmarkLabeling) -> Result<(), String> {
     if a.num_nodes() != b.num_nodes() {
         return Err("node counts differ".into());
@@ -74,7 +73,7 @@ fn bit_identical(a: &PrunedLandmarkLabeling, b: &PrunedLandmarkLabeling) -> Resu
     }
     if a.stats().bytes != b.stats().bytes {
         return Err(format!(
-            "storage bytes differ: {} vs {}",
+            "label bytes differ: {} vs {}",
             a.stats().bytes,
             b.stats().bytes
         ));
@@ -108,50 +107,41 @@ fn mutate(g: &ExpertGraph, m: (u32, u32, u32, f64, bool)) -> Option<ExpertGraph>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// refresh == scratch rebuild, bitwise, after every mutation prefix,
-    /// on every backend. A generous hub budget keeps the incremental
-    /// path engaged; refusals (e.g. an insertion that reshuffles the
-    /// vertex order) fall back to a scratch build and composition
-    /// continues from there.
+    /// refresh == scratch rebuild, bitwise, after every mutation prefix.
+    /// A generous hub budget keeps the incremental path engaged; refusals
+    /// (e.g. an insertion that reshuffles the vertex order) fall back to
+    /// a scratch build and composition continues from there.
     #[test]
     fn refresh_is_bit_identical_after_every_prefix(
         (n, edges) in random_graph(),
         muts in mutations(),
     ) {
-        for storage in LabelStorage::ALL {
-            let config = BuildConfig {
-                storage,
-                incremental_hub_budget: Some(10_000),
-                ..BuildConfig::sequential()
-            };
-            let mut cur = build(n, &edges);
-            let mut pll = PrunedLandmarkLabeling::build_with_config(
-                &cur,
+        let config = BuildConfig {
+            incremental_hub_budget: Some(10_000),
+            ..BuildConfig::sequential()
+        };
+        let mut cur = build(n, &edges);
+        let mut pll = PrunedLandmarkLabeling::build_with_config(
+            &cur,
+            VertexOrder::DegreeDescending,
+            &config,
+        );
+        for &m in &muts {
+            let Some(next) = mutate(&cur, m) else { continue };
+            let scratch = PrunedLandmarkLabeling::build_with_config(
+                &next,
                 VertexOrder::DegreeDescending,
                 &config,
             );
-            for &m in &muts {
-                let Some(next) = mutate(&cur, m) else { continue };
-                let scratch = PrunedLandmarkLabeling::build_with_config(
-                    &next,
-                    VertexOrder::DegreeDescending,
-                    &config,
-                );
-                match refresh(&pll, &cur, &next, VertexOrder::DegreeDescending, &config) {
-                    Ok((inc, _report)) => {
-                        let res = bit_identical(&inc, &scratch);
-                        prop_assert!(
-                            res.is_ok(),
-                            "{}: {}",
-                            storage.name(),
-                            res.unwrap_err()
-                        );
-                        pll = inc;
-                    }
-                    Err(_) => pll = scratch,
+            match refresh(&pll, &cur, &next, VertexOrder::DegreeDescending, &config) {
+                Ok((inc, _report)) => {
+                    let res = bit_identical(&inc, &scratch);
+                    prop_assert!(res.is_ok(), "{}", res.unwrap_err());
+                    pll = inc;
                 }
-                cur = next;
+                Err(_) => pll = scratch,
             }
+            cur = next;
         }
     }
 

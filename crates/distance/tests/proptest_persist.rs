@@ -1,24 +1,23 @@
-//! The persistence contract: `save → load` is bit-lossless for **every**
-//! storage backend (labels, stats, storage tag), and loading is total —
-//! any corrupted, truncated, stale, or malicious byte stream yields a
-//! clean [`PersistError`], never a panic. The corruption half flips every
-//! byte and cuts every prefix of real dumps, then re-seals patched
-//! payloads with the format's own checksum to drive the *structural*
-//! validation behind it (out-of-range dictionary codes, malformed varint
-//! blocks, non-monotone offsets).
+//! The persistence contract: `save → load` is bit-lossless (labels and
+//! stats), files written by earlier builds keep loading byte for byte,
+//! and loading is total — any corrupted, truncated, stale, foreign or
+//! malicious byte stream yields a clean [`PersistError`], never a panic.
+//! The corruption half flips every byte and cuts every prefix of real
+//! dumps, then re-seals patched payloads with the format's own checksum
+//! to drive the *structural* validation behind it (non-monotone offsets,
+//! descending ranks, out-of-range ranks).
 
 use atd_distance::persist::{checksum, HEADER_LEN};
 use atd_distance::{
-    CompressedDictLabelSet, CompressedLabelSet, DictLabelSet, LabelEntry, LabelSet, LabelStore,
-    PersistError, PrunedLandmarkLabeling,
+    graph_fingerprint, BuildConfig, LabelEntry, LabelSet, PersistError, PrunedLandmarkLabeling,
+    VertexOrder,
 };
 use proptest::prelude::*;
 
 /// Random per-node label lists: strictly ascending ranks from random
-/// gaps (crossing the varint byte-width boundaries) and non-negative
-/// distances with heavy repetition (the shape dictionary codes exist
-/// for). Ranks stay below the node count often enough to exercise both
-/// small and large gaps.
+/// gaps and non-negative distances with heavy repetition. Ranks stay
+/// below the node count often enough to exercise both small and large
+/// gaps.
 fn random_lists() -> impl Strategy<Value = Vec<Vec<LabelEntry>>> {
     proptest::collection::vec(
         proptest::collection::vec((0u32..40_000, 0.0f64..50.0), 0..32),
@@ -54,21 +53,9 @@ fn random_lists() -> impl Strategy<Value = Vec<Vec<LabelEntry>>> {
     })
 }
 
-/// Every backend built from the same lists (order matches
-/// `LabelStorage::ALL`).
-fn stores(lists: &[Vec<LabelEntry>]) -> Vec<LabelStore> {
-    vec![
-        LabelStore::from(LabelSet::from_lists(lists)),
-        LabelStore::from(CompressedLabelSet::from_lists(lists)),
-        LabelStore::from(DictLabelSet::from_lists(lists)),
-        LabelStore::from(CompressedDictLabelSet::from_lists(lists)),
-    ]
-}
-
 const HASH: u64 = 0x0123_4567_89ab_cdef;
 
-fn assert_stores_bit_identical(a: &LabelStore, b: &LabelStore) {
-    assert_eq!(a.storage(), b.storage());
+fn assert_stores_bit_identical(a: &LabelSet, b: &LabelSet) {
     assert_eq!(a.stats(), b.stats());
     for v in 0..a.num_nodes() {
         let la: Vec<LabelEntry> = a.entries(v).collect();
@@ -96,17 +83,16 @@ fn e(hub_rank: u32, dist: f64) -> LabelEntry {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// save → load reproduces every backend bit-identically: same
-    /// storage tag, same stats (hence same per-plane bytes), same rank
-    /// and distance bits for every node.
+    /// save → load reproduces the labels of the one backend (flat CSR)
+    /// bit-identically: same stats (hence same per-plane bytes), same
+    /// rank and distance bits for every node.
     #[test]
     fn roundtrip_is_bit_lossless_for_every_backend(lists in random_lists()) {
-        for store in stores(&lists) {
-            let bytes = store.to_bytes(HASH);
-            let loaded = LabelStore::from_bytes(&bytes, store.num_nodes(), HASH)
-                .unwrap_or_else(|err| panic!("{:?}: {err}", store.storage()));
-            assert_stores_bit_identical(&store, &loaded);
-        }
+        let store = LabelSet::from_lists(&lists);
+        let bytes = store.to_bytes(HASH);
+        let loaded = LabelSet::from_bytes(&bytes, store.num_nodes(), HASH)
+            .unwrap_or_else(|err| panic!("{err}"));
+        assert_stores_bit_identical(&store, &loaded);
     }
 
     /// Flipping ANY single byte of a valid dump makes loading fail
@@ -115,29 +101,26 @@ proptest! {
     /// panics.
     #[test]
     fn any_single_byte_flip_is_rejected(lists in random_lists(), seed in 0usize..1_000_000) {
-        for store in stores(&lists) {
-            let mut bytes = store.to_bytes(HASH);
-            let pos = seed % bytes.len();
-            bytes[pos] ^= 0xff;
-            let result = LabelStore::from_bytes(&bytes, store.num_nodes(), HASH);
-            prop_assert!(
-                result.is_err(),
-                "{:?}: flip at byte {pos} of {} went unnoticed",
-                store.storage(),
-                bytes.len()
-            );
-        }
+        let store = LabelSet::from_lists(&lists);
+        let mut bytes = store.to_bytes(HASH);
+        let pos = seed % bytes.len();
+        bytes[pos] ^= 0xff;
+        let result = LabelSet::from_bytes(&bytes, store.num_nodes(), HASH);
+        prop_assert!(
+            result.is_err(),
+            "flip at byte {pos} of {} went unnoticed",
+            bytes.len()
+        );
     }
 
     /// A dump loaded against a *different* snapshot fingerprint is
-    /// rejected as stale for every backend.
+    /// rejected as stale.
     #[test]
     fn wrong_fingerprint_is_stale(lists in random_lists()) {
-        for store in stores(&lists) {
-            let bytes = store.to_bytes(HASH);
-            let err = LabelStore::from_bytes(&bytes, store.num_nodes(), HASH ^ 1).unwrap_err();
-            prop_assert!(matches!(err, PersistError::StaleIndex { .. }), "{err}");
-        }
+        let store = LabelSet::from_lists(&lists);
+        let bytes = store.to_bytes(HASH);
+        let err = LabelSet::from_bytes(&bytes, store.num_nodes(), HASH ^ 1).unwrap_err();
+        prop_assert!(matches!(err, PersistError::StaleIndex { .. }), "{err}");
     }
 }
 
@@ -148,43 +131,49 @@ fn every_truncation_point_is_rejected_cleanly() {
         vec![],
         vec![e(2, 0.25), e(5, 1.5), e(6, 0.0)],
     ];
-    for store in stores(&lists) {
-        let bytes = store.to_bytes(HASH);
-        for cut in 0..bytes.len() {
-            let result = LabelStore::from_bytes(&bytes[..cut], store.num_nodes(), HASH);
-            assert!(
-                result.is_err(),
-                "{:?}: truncation at {cut}/{} went unnoticed",
-                store.storage(),
-                bytes.len()
-            );
-        }
+    let store = LabelSet::from_lists(&lists);
+    let bytes = store.to_bytes(HASH);
+    for cut in 0..bytes.len() {
+        let result = LabelSet::from_bytes(&bytes[..cut], store.num_nodes(), HASH);
+        assert!(
+            result.is_err(),
+            "truncation at {cut}/{} went unnoticed",
+            bytes.len()
+        );
     }
 }
 
 #[test]
 fn header_field_corruption_yields_the_matching_error() {
-    let store = LabelStore::from(LabelSet::from_lists(&[vec![e(0, 1.0)]]));
+    let store = LabelSet::from_lists(&[vec![e(0, 1.0)]]);
     let bytes = store.to_bytes(HASH);
-    let load = |b: &[u8]| LabelStore::from_bytes(b, 1, HASH);
+    let load = |b: &[u8]| LabelSet::from_bytes(b, 1, HASH);
 
     let mut bad_magic = bytes.clone();
     bad_magic[0] = b'X';
     assert!(matches!(load(&bad_magic), Err(PersistError::BadMagic)));
 
-    let mut bad_version = bytes.clone();
-    bad_version[4] = 99;
-    assert!(matches!(
-        load(&bad_version),
-        Err(PersistError::UnsupportedVersion(99))
-    ));
+    // Format v1 (byte-packed planes) is no longer read, and neither is
+    // any future version.
+    for version in [0u16, 1, 3, 99] {
+        let mut bad_version = bytes.clone();
+        bad_version[4..6].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            load(&bad_version),
+            Err(PersistError::UnsupportedVersion(v)) if v == version
+        ));
+    }
 
-    let mut bad_tag = bytes.clone();
-    bad_tag[6] = 17;
-    assert!(matches!(
-        load(&bad_tag),
-        Err(PersistError::BadStorageTag(17))
-    ));
+    // Tags 1–3 named the retired compressed and dictionary layouts; only
+    // tag 0 (flat CSR) loads.
+    for tag in [1u8, 2, 3, 17] {
+        let mut bad_tag = bytes.clone();
+        bad_tag[6] = tag;
+        assert!(matches!(
+            load(&bad_tag),
+            Err(PersistError::BadStorageTag(t)) if t == tag
+        ));
+    }
 
     let mut bad_reserved = bytes.clone();
     bad_reserved[7] = 1;
@@ -207,55 +196,17 @@ fn header_field_corruption_yields_the_matching_error() {
 }
 
 #[test]
-fn dictionary_code_beyond_table_is_rejected_not_panicking() {
-    // One entry, one table value: the only legal code is 0. The code
-    // plane is the final plane — one u8 followed by 7 alignment-pad
-    // bytes in the v2 layout — so the code itself sits 8 bytes from the
-    // end; patch it to 1 (== table len) and re-seal.
-    let store = LabelStore::from(DictLabelSet::from_lists(&[vec![e(0, 0.5)]]));
-    let mut bytes = store.to_bytes(HASH);
-    let last = bytes.len() - 8;
-    bytes[last] = 1;
-    reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 1, HASH).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Corrupt(msg) if msg.contains("code")),
-        "{err}"
-    );
-}
-
-#[test]
-fn malformed_varint_block_is_rejected_not_panicking() {
-    // Compressed v2 layout: max-rank word (8), offsets (8+8),
-    // byte_offsets (8+8), then the rank-byte block (8-byte length
-    // prefix + one varint byte). Setting that varint's continuation bit
-    // leaves the block truncated mid-varint — exactly what the
-    // unchecked hot-path decoder would have walked off the end of.
-    let store = LabelStore::from(CompressedLabelSet::from_lists(&[vec![e(0, 0.5)]]));
-    let mut bytes = store.to_bytes(HASH);
-    let rank_byte = HEADER_LEN + 8 + 16 + 16 + 8;
-    assert_eq!(bytes[rank_byte], 0x00, "rank 0 encodes as one zero byte");
-    bytes[rank_byte] = 0x80;
-    reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 1, HASH).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Corrupt(msg) if msg.contains("varint")),
-        "{err}"
-    );
-}
-
-#[test]
 fn non_monotone_offsets_are_rejected_not_panicking() {
     // CSR v2 layout: max-rank word, then the offsets block = 8-byte
     // length prefix + [0, 1, 2] u32s. Patching offsets[1] to 5 breaks
     // monotonicity (and the slice bounds the unchecked `of()` would
     // have used).
-    let store = LabelStore::from(LabelSet::from_lists(&[vec![e(0, 1.0)], vec![e(1, 2.0)]]));
+    let store = LabelSet::from_lists(&[vec![e(0, 1.0)], vec![e(1, 2.0)]]);
     let mut bytes = store.to_bytes(HASH);
     let offset1 = HEADER_LEN + 8 + 8 + 4;
     bytes[offset1..offset1 + 4].copy_from_slice(&5u32.to_le_bytes());
     reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 2, HASH).unwrap_err();
+    let err = LabelSet::from_bytes(&bytes, 2, HASH).unwrap_err();
     assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
 }
 
@@ -263,13 +214,13 @@ fn non_monotone_offsets_are_rejected_not_panicking() {
 fn descending_csr_ranks_are_rejected() {
     // Two entries for one node with swapped ranks: build the valid dump
     // first, then swap the two rank u32s (offsets 8+12 in) and re-seal.
-    let store = LabelStore::from(LabelSet::from_lists(&[vec![e(3, 1.0), e(9, 2.0)]]));
+    let store = LabelSet::from_lists(&[vec![e(3, 1.0), e(9, 2.0)]]);
     let mut bytes = store.to_bytes(HASH);
     let ranks_at = HEADER_LEN + 8 + (8 + 8) + 8; // max-rank word, offsets block, ranks length prefix
     bytes[ranks_at..ranks_at + 4].copy_from_slice(&9u32.to_le_bytes());
     bytes[ranks_at + 4..ranks_at + 8].copy_from_slice(&3u32.to_le_bytes());
     reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 1, HASH).unwrap_err();
+    let err = LabelSet::from_bytes(&bytes, 1, HASH).unwrap_err();
     assert!(
         matches!(err, PersistError::Corrupt(msg) if msg.contains("ascending")),
         "{err}"
@@ -277,17 +228,32 @@ fn descending_csr_ranks_are_rejected() {
 }
 
 #[test]
+fn inflated_max_rank_field_is_rejected() {
+    // The payload's leading `max_rank` word must equal the largest rank
+    // actually stored; patch it far past the planes and re-seal.
+    let store = LabelSet::from_lists(&[vec![e(0, 0.5), e(2, 1.0)], vec![e(1, 0.0)]]);
+    let mut bytes = store.to_bytes(HASH);
+    bytes[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    reseal(&mut bytes);
+    let err = LabelSet::from_bytes(&bytes, 2, HASH).unwrap_err();
+    assert!(
+        matches!(err, PersistError::Corrupt(msg) if msg.contains("max-rank")),
+        "{err}"
+    );
+}
+
+#[test]
 fn pll_load_rejects_hub_ranks_beyond_the_node_count() {
     // Structurally valid store, but rank 5 cannot be a vertex rank in a
-    // 1-node graph: LabelStore::load_from accepts it (raw stores carry
+    // 1-node graph: LabelSet::load_from accepts it (raw label sets carry
     // no such bound), PrunedLandmarkLabeling::load_from must reject it —
     // its scatter scratch direct-indexes by rank.
     use atd_graph::GraphBuilder;
     let mut b = GraphBuilder::new();
     b.add_node(1.0);
     let g = b.build().unwrap();
-    let store = LabelStore::from(LabelSet::from_lists(&[vec![e(5, 1.0)]]));
-    let bytes = store.to_bytes(atd_distance::graph_fingerprint(&g));
+    let store = LabelSet::from_lists(&[vec![e(5, 1.0)]]);
+    let bytes = store.to_bytes(graph_fingerprint(&g));
     let dir = std::env::temp_dir();
     let path = dir.join(format!(
         "atd_persist_rank_bound_{}_{:?}.atdl",
@@ -295,7 +261,7 @@ fn pll_load_rejects_hub_ranks_beyond_the_node_count() {
         std::thread::current().id()
     ));
     std::fs::write(&path, &bytes).unwrap();
-    assert!(LabelStore::load_from(&path, &g).is_ok(), "store-level load");
+    assert!(LabelSet::load_from(&path, &g).is_ok(), "store-level load");
     let err = PrunedLandmarkLabeling::load_from(&path, &g).unwrap_err();
     assert!(
         matches!(err, PersistError::Corrupt(msg) if msg.contains("rank")),
@@ -356,4 +322,100 @@ fn pll_roundtrip_through_files_is_bit_identical_and_queryable() {
     let err = PrunedLandmarkLabeling::load_from(&path, &g2).unwrap_err();
     assert!(matches!(err, PersistError::StaleIndex { .. }), "{err}");
     std::fs::remove_file(&path).ok();
+}
+
+/// A v2 CSR index of [`fixture_graph`], byte for byte as the writer
+/// produced it while three other label layouts and a zero-copy loader
+/// still existed. Stores written back then must keep loading unchanged,
+/// and today's writer must still emit exactly these bytes.
+#[rustfmt::skip]
+const PINNED_V2_INDEX: [u8; 296] = [
+    0x41, 0x54, 0x44, 0x4c, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x9e, 0x8c, 0x0a, 0xf3, 0x2d, 0x29, 0x67, 0x51, 0xf8, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xf9, 0x7a, 0xc0, 0x38, 0x20, 0xd2, 0xf5, 0x19,
+    0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+    0x0b, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x00, 0x00,
+    0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xf4, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xe8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfc, 0x3f, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// Seven authors, six of them in one component; node 6 is isolated.
+fn fixture_graph() -> atd_graph::ExpertGraph {
+    use atd_graph::GraphBuilder;
+    let mut b = GraphBuilder::new();
+    let ids: Vec<_> = (0..7).map(|i| b.add_node(1.0 + i as f64)).collect();
+    for (u, v, w) in [
+        (0, 1, 0.5),
+        (1, 2, 1.25),
+        (2, 3, 0.75),
+        (3, 0, 2.0),
+        (1, 4, 1.5),
+        (4, 5, 0.25),
+        (2, 5, 3.0),
+    ] {
+        b.add_edge(ids[u], ids[v], w).unwrap();
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn pinned_v2_index_loads_and_reencodes_byte_for_byte() {
+    let g = fixture_graph();
+    let built = PrunedLandmarkLabeling::build_with_config(
+        &g,
+        VertexOrder::DegreeDescending,
+        &BuildConfig::sequential(),
+    );
+    assert_eq!(
+        built.labels().to_bytes(graph_fingerprint(&g)),
+        PINNED_V2_INDEX,
+        "the writer's byte layout changed"
+    );
+
+    let path = std::env::temp_dir().join(format!(
+        "atd_persist_pinned_{}_{:?}.atdl",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, PINNED_V2_INDEX).unwrap();
+    let loaded = PrunedLandmarkLabeling::load_from(&path, &g).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_stores_bit_identical(built.labels(), loaded.labels());
+    assert_eq!(
+        loaded.labels().to_bytes(graph_fingerprint(&g)),
+        PINNED_V2_INDEX,
+        "load → save must reproduce the file"
+    );
+    let mut sc = loaded.scatter();
+    for u in g.nodes() {
+        loaded.load_source(&mut sc, u);
+        for v in g.nodes() {
+            assert_eq!(
+                loaded.query_one_to_many(&sc, v).map(f64::to_bits),
+                built
+                    .query_raw(u, v)
+                    .is_finite()
+                    .then(|| built.query_raw(u, v).to_bits()),
+                "({u},{v})"
+            );
+        }
+    }
 }

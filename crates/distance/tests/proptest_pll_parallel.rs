@@ -30,8 +30,7 @@ fn build(n: usize, edges: &[(u32, u32, f64)]) -> atd_graph::ExpertGraph {
     b.build().unwrap()
 }
 
-/// Bitwise label equality (ranks and f64 bit patterns per node),
-/// independent of either index's storage backend.
+/// Bitwise label equality (ranks and f64 bit patterns per node).
 fn bit_identical(a: &PrunedLandmarkLabeling, b: &PrunedLandmarkLabeling) -> Result<(), String> {
     if a.num_nodes() != b.num_nodes() {
         return Err("node counts differ".into());

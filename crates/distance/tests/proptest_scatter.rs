@@ -1,13 +1,13 @@
 //! The contract of the one-to-many query engine: scatter-based distances
 //! are **bit-identical** to the pairwise merge-join on arbitrary weighted
 //! graphs — same finite values, same `INFINITY` for disconnected pairs,
-//! same `u == v` behavior — under every vertex ordering, and for every
-//! source in sequence on one reused scratch (reload must fully erase the
-//! previous source).
+//! same `u == v` behavior — under every vertex ordering, on labels fresh
+//! from the build or re-read from disk, and for every source in sequence
+//! on one reused scratch (reload must fully erase the previous source).
 
 use atd_distance::order::VertexOrder;
 use atd_distance::{
-    BuildConfig, DistanceOracle, LabelStorage, PrunedLandmarkLabeling, SourceScatter,
+    graph_fingerprint, DistanceOracle, LabelSet, PrunedLandmarkLabeling, SourceScatter,
 };
 use atd_graph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
@@ -82,48 +82,35 @@ proptest! {
         }
     }
 
-    /// Every storage backend answers every scatter query bit-identically:
-    /// each backend's one-to-many scan decodes the same entries in the
-    /// same order the CSR slice walk reads them (with dict distances read
-    /// through the value table as identical bit patterns), so the sums
-    /// (and their f64 bits) cannot differ — and each backend matches its
-    /// own pairwise merge-join.
+    /// The one label storage (flat CSR) answers the same whether fresh
+    /// from the build or re-read from its on-disk bytes: the scatter over
+    /// either copy is bit-identical, and each matches the pairwise
+    /// merge-join.
     #[test]
     fn scatter_is_storage_independent((n, edges) in random_graph()) {
         let g = build(n, &edges);
-        let csr = PrunedLandmarkLabeling::build(&g);
-        let mut sc_csr = csr.scatter();
-        for storage in &LabelStorage::ALL[1..] {
-            let other = PrunedLandmarkLabeling::build_with_config(
-                &g,
-                VertexOrder::DegreeDescending,
-                &BuildConfig {
-                    storage: *storage,
-                    ..BuildConfig::default()
-                },
-            );
-            prop_assert_eq!(other.storage(), *storage);
-            let mut sc_other = other.scatter();
-            for u in g.nodes() {
-                csr.load_source(&mut sc_csr, u);
-                other.load_source(&mut sc_other, u);
-                for v in g.nodes() {
-                    let a = csr.query_one_to_many(&sc_csr, v);
-                    let b = other.query_one_to_many(&sc_other, v);
-                    prop_assert_eq!(
-                        a.map(f64::to_bits),
-                        b.map(f64::to_bits),
-                        "({},{}): csr {:?} vs {} {:?}",
-                        u, v, a, storage.name(), b
-                    );
-                    let pairwise = other.labels().query(u.index(), v.index());
-                    let scattered = sc_other.distance(other.labels(), v.index());
-                    prop_assert_eq!(
-                        pairwise.to_bits(), scattered.to_bits(),
-                        "({},{}): {} merge {} vs scatter {}",
-                        u, v, storage.name(), pairwise, scattered
-                    );
-                }
+        let pll = PrunedLandmarkLabeling::build(&g);
+        let built = pll.labels();
+        let hash = graph_fingerprint(&g);
+        let loaded = LabelSet::from_bytes(&built.to_bytes(hash), g.num_nodes(), hash)
+            .unwrap_or_else(|err| panic!("{err}"));
+        let mut sc_built = SourceScatter::for_labels(built);
+        let mut sc_loaded = SourceScatter::for_labels(&loaded);
+        for u in 0..g.num_nodes() {
+            sc_built.load(built, u);
+            sc_loaded.load(&loaded, u);
+            for v in 0..g.num_nodes() {
+                let a = sc_built.distance(built, v);
+                let b = sc_loaded.distance(&loaded, v);
+                prop_assert_eq!(
+                    a.to_bits(), b.to_bits(),
+                    "({},{}): built {} vs loaded {}", u, v, a, b
+                );
+                let pairwise = loaded.query(u, v);
+                prop_assert_eq!(
+                    pairwise.to_bits(), b.to_bits(),
+                    "({},{}): loaded merge {} vs scatter {}", u, v, pairwise, b
+                );
             }
         }
     }

@@ -4,25 +4,18 @@
 //! experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|all]
 //!             [--scale tiny|small|medium|paper] [--out DIR]
 //!             [--pll-threads N] [--pll-batch N]
-//!             [--pll-storage csr|compressed|csr-dict|compressed-dict]
-//!             [--pll-load FILE] [--pll-save FILE] [--pll-mmap]
+//!             [--pll-load FILE] [--pll-save FILE]
 //!             [--mutate N]
 //! ```
 //!
 //! Default: `all --scale small --out results`. `--pll-threads` /
 //! `--pll-batch` pin the parallel PLL builder's configuration so
-//! cold-start (index construction) time can be measured end-to-end;
-//! `--pll-storage` selects the label storage backend (flat CSR or
-//! delta+varint hub ranks × flat `f64` or dictionary-coded distances;
-//! the accepted names come from `LabelStorage::NAMES`, the same table
-//! the parser reads). `--pll-load` points at a persistent index file:
-//! load it when its snapshot fingerprint matches, else build and save it
-//! there (the load-or-build cold start); `--pll-save` additionally dumps
-//! the built/loaded index to an explicit file; `--pll-mmap` switches the
-//! load to the zero-copy path (the label planes are borrowed from the
-//! memory-mapped file instead of decoded into owned storage). The labels
-//! are bit-identical in every case — these flags tune cold-start time
-//! and index memory, never results.
+//! cold-start (index construction) time can be measured end-to-end.
+//! `--pll-load` points at a persistent index file: load it when its
+//! snapshot fingerprint matches, else build and save it there (the
+//! load-or-build cold start); `--pll-save` additionally dumps the
+//! built/loaded index to an explicit file. The labels are bit-identical
+//! in every case — these flags tune cold-start time, never results.
 //!
 //! `--mutate N` runs the durable replay mode: N deterministic graph
 //! mutations (new publications, occasionally a new author) acknowledged
@@ -34,7 +27,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use atd_core::greedy::DiscoveryOptions;
-use atd_distance::LabelStorage;
 use atd_eval::figures::{ablation, fig3, fig4, fig5, fig6, runtime, venue_quality};
 use atd_eval::testbed::{Scale, Testbed};
 
@@ -44,10 +36,8 @@ struct Args {
     out: Option<PathBuf>,
     pll_threads: Option<usize>,
     pll_batch: Option<usize>,
-    pll_storage: Option<LabelStorage>,
     pll_load: Option<PathBuf>,
     pll_save: Option<PathBuf>,
-    pll_mmap: bool,
     mutate: Option<usize>,
 }
 
@@ -57,10 +47,8 @@ fn parse_args() -> Result<Args, String> {
     let mut out = Some(PathBuf::from("results"));
     let mut pll_threads = None;
     let mut pll_batch = None;
-    let mut pll_storage = None;
     let mut pll_load = None;
     let mut pll_save = None;
-    let mut pll_mmap = false;
     let mut mutate = None;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
@@ -86,14 +74,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--pll-batch needs a value")?;
                 pll_batch = Some(v.parse().map_err(|_| format!("bad batch size '{v}'"))?);
             }
-            "--pll-storage" => {
-                let v = argv.next().ok_or("--pll-storage needs a value")?;
-                pll_storage = Some(LabelStorage::parse(&v).ok_or_else(|| {
-                    // Same LabelStorage::NAMES table the parser reads, so
-                    // the list can never go stale.
-                    format!("unknown storage '{v}' ({})", LabelStorage::usage())
-                })?);
-            }
             "--pll-load" => {
                 let v = argv.next().ok_or("--pll-load needs a value")?;
                 pll_load = Some(PathBuf::from(v));
@@ -102,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--pll-save needs a value")?;
                 pll_save = Some(PathBuf::from(v));
             }
-            "--pll-mmap" => pll_mmap = true,
             "--mutate" => {
                 let v = argv.next().ok_or("--mutate needs a value")?;
                 let n: usize = v.parse().map_err(|_| format!("bad mutation count '{v}'"))?;
@@ -112,14 +91,13 @@ fn parse_args() -> Result<Args, String> {
                 mutate = Some(n);
             }
             "--help" | "-h" => {
-                return Err(format!(
+                return Err(
                     "usage: experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all] \
                             [--scale tiny|small|medium|paper] [--out DIR|-] \
                             [--pll-threads N] [--pll-batch N] \
-                            [--pll-storage {}] \
-                            [--pll-load FILE] [--pll-save FILE] [--pll-mmap] [--mutate N]",
-                    LabelStorage::usage()
-                ))
+                            [--pll-load FILE] [--pll-save FILE] [--mutate N]"
+                        .into(),
+                )
             }
             name => which.push(name.to_string()),
         }
@@ -133,10 +111,8 @@ fn parse_args() -> Result<Args, String> {
         out,
         pll_threads,
         pll_batch,
-        pll_storage,
         pll_load,
         pll_save,
-        pll_mmap,
         mutate,
     })
 }
@@ -163,14 +139,7 @@ fn main() {
     if let Some(b) = args.pll_batch {
         options.pll_build.batch_size = b;
     }
-    if let Some(st) = args.pll_storage {
-        options.pll_build.storage = st;
-    }
     options.pll_index_path = args.pll_load.clone();
-    if args.pll_mmap {
-        options.pll_load_mode = atd_core::IndexLoadMode::Mmap;
-    }
-    let storage = options.pll_build.storage;
     let tb = Testbed::with_options(args.scale, options);
     println!(
         "testbed: {} experts, {} edges, {} skills, {} skill holders (built in {:.1?})",
@@ -182,18 +151,13 @@ fn main() {
     );
     if let Some(path) = &args.pll_load {
         println!(
-            "pll index: {} {}{}",
+            "pll index: {} {}",
             if tb.engine.pll_index_loaded() {
                 "loaded from"
             } else {
                 "built fresh and saved to"
             },
-            path.display(),
-            if tb.engine.pll_index_zero_copy() {
-                " (zero-copy mmap)"
-            } else {
-                ""
-            }
+            path.display()
         );
     }
     if let Some(warning) = tb.engine.pll_persist_warning() {
@@ -230,22 +194,13 @@ fn main() {
     }
     let stats = tb.engine.pll_stats();
     println!(
-        "pll labels: {:?} storage, {} entries (avg {:.1}, max {}), {} KiB \
-         ({})",
-        storage,
+        "pll labels: {} entries (avg {:.1}, max {}), {} KiB ({})",
         stats.total_entries,
         stats.avg_entries,
         stats.max_entries,
         stats.bytes / 1024,
         stats.breakdown_kib()
     );
-    if stats.dict_values > 0 {
-        println!(
-            "pll dict table: {} distinct distance values, {}-byte codes",
-            stats.dict_values,
-            stats.dict_code_width()
-        );
-    }
     println!();
     let out = args.out.as_deref();
 

@@ -97,13 +97,12 @@ impl Testbed {
 
     /// Builds the testbed with explicit engine options — in particular
     /// `DiscoveryOptions::pll_build`, so cold-start (index construction)
-    /// experiments can pin the parallel builder's thread count, batch
-    /// size, and label storage backend (flat CSR or delta+varint hub
-    /// ranks × flat `f64` or dictionary-coded distances) end-to-end, and
-    /// `DiscoveryOptions::pll_index_path`, which turns the cold start
-    /// into a load-or-build against a persisted index file (`experiments
-    /// --pll-load`). Discovery results are bit-identical for every
-    /// combination; only cold-start time and index memory change.
+    /// experiments can pin the parallel builder's thread count and batch
+    /// size end-to-end, and `DiscoveryOptions::pll_index_path`, which
+    /// turns the cold start into a load-or-build against a persisted
+    /// index file (`experiments --pll-load`). Discovery results are
+    /// bit-identical for every combination; only cold-start time
+    /// changes.
     pub fn with_options(scale: Scale, options: DiscoveryOptions) -> Testbed {
         let synth = SynthCorpus::generate(&scale.synth_config());
         let net = ExpertNetwork::build(synth.corpus, &BuildConfig::default())

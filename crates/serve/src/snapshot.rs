@@ -9,23 +9,16 @@
 //! never invalidates running queries and old snapshots are freed exactly
 //! when the final reference disappears.
 //!
-//! The cell is a hand-rolled *left-right* structure (the build
-//! environment has no arc-swap crate): two snapshot slots indexed by the
-//! parity of a generation counter, plus one pin counter per slot. A
-//! reader pins the live slot's counter, re-checks the generation (retry
-//! on a lost race), clones the `Arc`, and unpins — wait-free against
-//! other readers, never blocked by a writer, and with no `Mutex` there
-//! is no poison state to paper over. A writer (swaps are rare and
-//! already serialized by the service's swap thread, but the cell
-//! tolerates concurrent callers via an internal spin lock) installs the
-//! new snapshot in the inactive slot, bumps the generation, then waits
-//! for the old slot's stragglers to drain before taking the old `Arc`
-//! out — so `swap` still returns the previous snapshot and the cell
-//! never retains more than the one live engine.
+//! The cell is a `std::sync::RwLock` around the live `Arc`. Readers hold
+//! the read lock only for the duration of one `Arc` clone and writers
+//! (rare, already serialized by the service's swap thread) only for one
+//! pointer exchange, so the lock is effectively uncontended next to a
+//! multi-millisecond query. A panic cannot leave the guarded value
+//! half-written — it is a whole `Arc`, replaced in a single move — so a
+//! poisoned lock is recovered with `PoisonError::into_inner` instead of
+//! propagating the panic to every later request.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use atd_core::Discovery;
 
@@ -61,131 +54,30 @@ impl Snapshot {
     }
 }
 
-/// The hot-swap cell: readers pin lock-free, writers replace.
-///
-/// Invariants the unsafe slot accesses rely on:
-///
-/// * The slot of the current generation's parity always holds `Some`.
-/// * A slot's contents are only *dereferenced* by a reader whose pin on
-///   that slot was confirmed by a generation re-check, and only
-///   *written* by a writer after the generation has moved away from the
-///   slot's parity and its pin count has drained to zero. The SeqCst
-///   pin-then-check / publish-then-check protocol below makes those two
-///   conditions mutually exclusive.
+/// The hot-swap cell: readers pin the live snapshot, writers replace it.
+#[derive(Debug)]
 pub(crate) struct SnapshotCell {
-    /// Two snapshot slots; `gen & 1` indexes the live one.
-    slots: [UnsafeCell<Option<Arc<Snapshot>>>; 2],
-    /// Generation counter; bumped once per swap, parity = live slot.
-    gen: AtomicUsize,
-    /// In-flight reader pins, one counter per slot.
-    pins: [AtomicUsize; 2],
-    /// Serializes writers; readers never touch it, and with no `Mutex`
-    /// a panicking writer cannot poison anyone (the flag clears via the
-    /// release guard's `Drop`).
-    writing: AtomicBool,
-}
-
-// SAFETY: the slots are shared across threads under the protocol in the
-// struct docs — every dereference is either a confirmed-pinned read of
-// an immutable `Arc` or an exclusive writer access behind `writing` +
-// drained pins.
-unsafe impl Send for SnapshotCell {}
-unsafe impl Sync for SnapshotCell {}
-
-impl std::fmt::Debug for SnapshotCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCell")
-            .field("gen", &self.gen.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-/// Clears the writer flag even if the writer unwinds.
-struct WriteGuard<'a>(&'a AtomicBool);
-
-impl Drop for WriteGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
-    }
+    live: RwLock<Arc<Snapshot>>,
 }
 
 impl SnapshotCell {
     pub fn new(initial: Arc<Snapshot>) -> SnapshotCell {
         SnapshotCell {
-            slots: [UnsafeCell::new(Some(initial)), UnsafeCell::new(None)],
-            gen: AtomicUsize::new(0),
-            pins: [AtomicUsize::new(0), AtomicUsize::new(0)],
-            writing: AtomicBool::new(false),
+            live: RwLock::new(initial),
         }
     }
 
     /// Pins the current snapshot: the returned `Arc` stays valid (and
     /// keeps the engine alive) across any number of concurrent swaps.
-    ///
-    /// Lock-free: a reader retries only when a swap landed between its
-    /// pin and its re-check, so the retry count is bounded by writer
-    /// activity and readers never wait on each other or on a writer.
     pub fn load(&self) -> Arc<Snapshot> {
-        loop {
-            let gen = self.gen.load(Ordering::SeqCst);
-            let idx = gen & 1;
-            // Pin first, then re-check. SeqCst on both sides of the
-            // store/load pairs (our pin vs. the writer's gen bump) means
-            // either we see the new generation and retry, or the writer
-            // sees our pin and waits — never neither.
-            self.pins[idx].fetch_add(1, Ordering::SeqCst);
-            if self.gen.load(Ordering::SeqCst) == gen {
-                // SAFETY: pin confirmed at `gen`, so no writer will
-                // touch this slot until we unpin; the live slot is
-                // always `Some`.
-                let snapshot = unsafe {
-                    (*self.slots[idx].get())
-                        .as_ref()
-                        .expect("live slot")
-                        .clone()
-                };
-                self.pins[idx].fetch_sub(1, Ordering::Release);
-                return snapshot;
-            }
-            // Lost the race with a swap; this slot may be getting
-            // rewritten. We never dereferenced it — just retry.
-            self.pins[idx].fetch_sub(1, Ordering::Release);
-        }
+        Arc::clone(&self.live.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Atomically replaces the serving snapshot, returning the previous
     /// one (which stays alive while any request still pins it).
     pub fn swap(&self, next: Arc<Snapshot>) -> Arc<Snapshot> {
-        while self.writing.swap(true, Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-        let _release = WriteGuard(&self.writing);
-
-        let gen = self.gen.load(Ordering::SeqCst);
-        let old_idx = gen & 1;
-        let new_idx = 1 - old_idx;
-        // SAFETY: we hold the writer flag and the previous swap drained
-        // and emptied this slot, so no confirmed reader can be
-        // dereferencing it (a racing reader's pin fails its gen
-        // re-check before it ever reads the slot).
-        unsafe {
-            *self.slots[new_idx].get() = Some(next);
-        }
-        self.gen.store(gen + 1, Ordering::SeqCst);
-        // Wait out readers that confirmed a pin on the old slot before
-        // the bump. New readers land on the new slot, so this drains in
-        // the time of an `Arc` clone per straggler.
-        while self.pins[old_idx].load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        // SAFETY: generation moved away from this slot and its pins are
-        // drained — we have exclusive access; the outgoing live slot is
-        // always `Some`.
-        unsafe {
-            (*self.slots[old_idx].get())
-                .take()
-                .expect("previous live slot")
-        }
+        let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *live, next)
     }
 }
 

@@ -399,96 +399,6 @@ fn corrupt_newest_generation_is_quarantined_and_service_restarts_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The zero-copy serving contract end-to-end: a checkpoint restart with
-/// [`IndexLoadMode::Mmap`] serves *borrowed* label planes straight out
-/// of the generation's index file, answers bit-identically to an owned
-/// load, and a publish over that mmap-backed snapshot copies-on-write —
-/// the mapped file's bytes never change underneath the borrow.
-#[test]
-fn mmap_loaded_checkpoint_serves_and_publishes_without_touching_the_file() {
-    use atd_core::IndexLoadMode;
-
-    let net = common::network(30);
-    let dir = tempdir("mmap");
-    let genesis = net.graph.clone();
-    let (mut service, _) =
-        DurableService::open(&dir, net.skills.clone(), config(), || genesis).unwrap();
-    let (d1, g1) = relax_delta(&net.graph);
-    service.publish_mutation(&d1).unwrap();
-    assert_eq!(service.checkpoint().unwrap(), 1);
-    service.shutdown();
-    drop(service);
-
-    let index_file = dir.join("gen-1.atdl");
-    let bytes_before = std::fs::read(&index_file).expect("checkpoint persisted the index");
-
-    // Restart in mmap mode: recovery borrows the label planes from the
-    // generation's index file instead of decoding an owned copy.
-    let mut cfg = config();
-    cfg.discovery.pll_load_mode = IndexLoadMode::Mmap;
-    let (mut service, report) =
-        DurableService::open(&dir, net.skills.clone(), cfg, || unreachable!()).unwrap();
-    assert_eq!(report.generation, 1);
-    assert_eq!(report.replayed_records, 0);
-    let snapshot = service.current_snapshot();
-    assert!(snapshot.engine().pll_index_loaded());
-    assert!(
-        snapshot.engine().pll_index_zero_copy(),
-        "mmap recovery must borrow the label planes from the index file"
-    );
-    let projects = common::projects(&net, 6);
-    assert_serves_like(
-        &service,
-        &reference_engine(&g1, &net.skills),
-        &projects,
-        "mmap restart",
-    );
-
-    // Publish over the mmap-backed snapshot: the relax patches the
-    // borrowed planes copy-on-write, so the served answer moves to the
-    // post-mutation state while the mapped file stays bit-for-bit what
-    // the checkpoint wrote.
-    let (d2, g2) = relax_delta(&g1);
-    service.publish_mutation(&d2).unwrap();
-    assert_eq!(
-        service.service().stats().incremental_applied,
-        1,
-        "the relax must patch the mmap-backed snapshot in place"
-    );
-    assert_serves_like(
-        &service,
-        &reference_engine(&g2, &net.skills),
-        &projects,
-        "publish over mmap",
-    );
-    // The pre-publish snapshot still pins the mapping and still answers
-    // from the pre-mutation state — immutability survives the CoW.
-    assert_serves_like_snapshot(&snapshot, &reference_engine(&g1, &net.skills), &projects);
-    drop(snapshot);
-    let bytes_after = std::fs::read(&index_file).unwrap();
-    assert_eq!(
-        bytes_before, bytes_after,
-        "a publish must never write through the mapped index file"
-    );
-    service.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Like [`assert_serves_like`] but against a pinned snapshot directly
-/// (bypassing the service, which has already moved on).
-fn assert_serves_like_snapshot(
-    snapshot: &atd_serve::Snapshot,
-    reference: &Discovery,
-    projects: &[Project],
-) {
-    for (i, project) in projects.iter().enumerate() {
-        let strategy = common::strategies()[i % 3];
-        let got = snapshot.engine().top_k(project, strategy, 3).unwrap();
-        let want = reference.top_k(project, strategy, 3).unwrap();
-        common::assert_bit_identical(&got, &want, &format!("pinned snapshot: {strategy}"));
-    }
-}
-
 #[test]
 fn auto_checkpoint_rolls_generations() {
     let net = common::network(25);

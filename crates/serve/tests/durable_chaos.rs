@@ -7,19 +7,30 @@
 //!
 //! Each test arms only its own faultpoint and disarms it; both
 //! registries (serve's and store's) are process-global, so `reset()`
-//! would race sibling tests.
+//! would race sibling tests. Every test's publishes and checkpoints
+//! still pass through the points its siblings arm, so the tests take
+//! [`serial`] and run one at a time.
 #![cfg(feature = "fault-injection")]
 
 mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use atd_core::greedy::{Discovery, DiscoveryOptions};
 use atd_distance::persist::graph_fingerprint;
 use atd_graph::{ExpertGraph, GraphDelta, NodeId};
 use atd_serve::{DurableConfig, DurableError, DurableService, Request, ServeConfig};
 use atd_store::JournalConfig;
+
+/// Held for a whole test, so no sibling's publish or checkpoint can
+/// consume the fault this test armed. A failed test poisons the lock;
+/// the rest still run.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -93,6 +104,7 @@ fn assert_serves_uninterrupted_state(
 /// restart recovers exactly the acknowledged prefix.
 #[test]
 fn append_faults_reject_unacknowledged_and_recovery_keeps_the_acked_prefix() {
+    let _serial = serial();
     for (tag, arm_point) in [
         ("serve_append", None),
         ("store_append", Some("store.wal_append")),
@@ -157,6 +169,7 @@ fn append_faults_reject_unacknowledged_and_recovery_keeps_the_acked_prefix() {
 /// next publish succeeds.
 #[test]
 fn killed_publisher_thread_does_not_take_the_service_down() {
+    let _serial = serial();
     let net = common::network(32);
     let dir = tempdir("killed_publisher");
     let genesis = net.graph.clone();
@@ -195,6 +208,7 @@ fn killed_publisher_thread_does_not_take_the_service_down() {
 /// checkpoint succeeds.
 #[test]
 fn kill_between_checkpoint_files_and_manifest_publish_recovers_acked_state() {
+    let _serial = serial();
     let net = common::network(33);
     let dir = tempdir("checkpoint_kill");
     let genesis = net.graph.clone();
@@ -236,6 +250,7 @@ fn kill_between_checkpoint_files_and_manifest_publish_recovers_acked_state() {
 /// retried checkpoint lands.
 #[test]
 fn manifest_publish_fault_aborts_checkpoint_and_service_keeps_serving() {
+    let _serial = serial();
     let net = common::network(34);
     let dir = tempdir("manifest_fault");
     let genesis = net.graph.clone();
@@ -289,6 +304,7 @@ fn manifest_publish_fault_aborts_checkpoint_and_service_keeps_serving() {
 /// uninterrupted run.
 #[test]
 fn kill_mid_incremental_patch_recovers_by_full_rebuild_bit_identically() {
+    let _serial = serial();
     let net = common::network(36);
     let dir = tempdir("inc_patch_kill");
     let genesis = net.graph.clone();
@@ -360,6 +376,7 @@ fn kill_mid_incremental_patch_recovers_by_full_rebuild_bit_identically() {
 /// over that prefix.
 #[test]
 fn truncated_wal_tail_at_every_boundary_restarts_serving_a_whole_prefix() {
+    let _serial = serial();
     let net = common::network(35);
     let dir = tempdir("torn_tail");
     let genesis = net.graph.clone();

@@ -390,7 +390,7 @@ impl Journal {
 
     /// Checkpoints the current state as a new generation: writes the
     /// graph dump, lets `save_index` persist a distance index at the
-    /// generation's index path (e.g. via `LabelStore::save_to` /
+    /// generation's index path (e.g. via `LabelSet::save_to` /
     /// `Discovery::save_pll_index`), opens a fresh WAL segment, and
     /// **then** publishes the manifest — the atomic commit point.
     /// Afterwards, active generations beyond

@@ -18,7 +18,7 @@
 //!   generations are quarantined, never deleted.
 //! * [`journal`] — the orchestrator: open/recover, `append` (ack after
 //!   durable), `checkpoint_with` (index persistence via
-//!   `LabelStore::save_to` plugged in by the caller).
+//!   `LabelSet::save_to` plugged in by the caller).
 //! * [`faultpoint`] — deterministic crash injection
 //!   (`store.wal_append`, `store.checkpoint`, `store.manifest_publish`)
 //!   behind the `fault-injection` feature; free when disabled.

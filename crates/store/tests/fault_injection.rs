@@ -6,15 +6,26 @@
 //! rules, and recovery always lands on exactly the acknowledged state.
 //!
 //! Each test arms only its own faultpoint (the registry is
-//! process-global; `reset()` would race sibling tests).
+//! process-global; `reset()` would race sibling tests). Every test's
+//! appends and checkpoints still pass through the points its siblings
+//! arm, so the tests take [`serial`] and run one at a time.
 #![cfg(feature = "fault-injection")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use atd_graph::{ExpertGraph, GraphBuilder, GraphDelta, NodeId};
 use atd_store::faultpoint::{arm, disarm, Fault, FaultPlan};
 use atd_store::{Journal, JournalConfig, StoreError};
+
+/// Held for a whole test, so no sibling's append or checkpoint can
+/// consume the fault this test armed. A failed test poisons the lock;
+/// the rest still run.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn genesis() -> ExpertGraph {
     let mut b = GraphBuilder::new();
@@ -49,6 +60,7 @@ fn edge_delta(u: usize, v: usize, w: f64) -> GraphDelta {
 
 #[test]
 fn append_io_fault_means_not_acknowledged() {
+    let _serial = serial();
     let dir = tempdir("append");
     let (mut j, _) = Journal::open(&dir, nosync(), genesis).unwrap();
     let d1 = edge_delta(0, 2, 0.9);
@@ -77,6 +89,7 @@ fn append_io_fault_means_not_acknowledged() {
 
 #[test]
 fn kill_between_checkpoint_files_and_publish_keeps_old_generation() {
+    let _serial = serial();
     let dir = tempdir("checkpoint_kill");
     let (mut j, _) = Journal::open(&dir, nosync(), genesis).unwrap();
     j.append(&edge_delta(0, 2, 0.6)).unwrap();
@@ -112,6 +125,7 @@ fn kill_between_checkpoint_files_and_publish_keeps_old_generation() {
 
 #[test]
 fn manifest_publish_io_fault_aborts_checkpoint_cleanly() {
+    let _serial = serial();
     let dir = tempdir("publish");
     let (mut j, _) = Journal::open(&dir, nosync(), genesis).unwrap();
     j.append(&edge_delta(1, 2, 0.2)).unwrap();
