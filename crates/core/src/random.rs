@@ -82,7 +82,7 @@ impl<'g> RandomTeamFinder<'g> {
     }
 
     /// Runs `trials` random teams and returns the best under
-    /// `SA-CA-CC(γ, λ)` (the paper's selection criterion).
+    /// `SA-CA-CC(γ, λ)` (the paper's selection rule).
     pub fn best_of(
         &self,
         project: &Project,

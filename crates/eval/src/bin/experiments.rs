@@ -1,16 +1,18 @@
 //! The experiment runner: regenerates every figure/claim of the paper.
 //!
 //! ```text
-//! experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|all]
-//!             [--scale tiny|small|medium|paper] [--out DIR]
+//! experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all]
+//!             [--scale tiny|small|medium|paper] [--out DIR|-]
 //!             [--pll-threads N] [--pll-batch N]
 //!             [--pll-load FILE] [--pll-save FILE]
 //!             [--mutate N]
 //! ```
 //!
-//! Default: `all --scale small --out results`. `--pll-threads` /
-//! `--pll-batch` pin the parallel PLL builder's configuration so
-//! cold-start (index construction) time can be measured end-to-end.
+//! Default: `all --scale small --out results`. An unknown section name
+//! or flag prints the usage and exits 2 before any testbed is built.
+//! `--pll-threads` / `--pll-batch` pin the parallel PLL builder's
+//! configuration so cold-start (index construction) time can be measured
+//! end-to-end.
 //! `--pll-load` points at a persistent index file: load it when its
 //! snapshot fingerprint matches, else build and save it there (the
 //! load-or-build cold start); `--pll-save` additionally dumps the
@@ -30,6 +32,26 @@ use atd_core::greedy::DiscoveryOptions;
 use atd_eval::figures::{ablation, fig3, fig4, fig5, fig6, runtime, venue_quality};
 use atd_eval::testbed::{Scale, Testbed};
 
+/// The section names `experiments` accepts; `all` runs every section.
+const SECTIONS: &[&str] = &[
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "runtime",
+    "venue",
+    "ablation",
+    "serve",
+    "serve-overload",
+    "all",
+];
+
+const USAGE: &str =
+    "usage: experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all] \
+                     [--scale tiny|small|medium|paper] [--out DIR|-] \
+                     [--pll-threads N] [--pll-batch N] \
+                     [--pll-load FILE] [--pll-save FILE] [--mutate N]";
+
 struct Args {
     which: Vec<String>,
     scale: Scale,
@@ -41,7 +63,7 @@ struct Args {
     mutate: Option<usize>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut which = Vec::new();
     let mut scale = Scale::Small;
     let mut out = Some(PathBuf::from("results"));
@@ -50,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
     let mut pll_load = None;
     let mut pll_save = None;
     let mut mutate = None;
-    let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--scale" => {
@@ -90,16 +111,10 @@ fn parse_args() -> Result<Args, String> {
                 }
                 mutate = Some(n);
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all] \
-                            [--scale tiny|small|medium|paper] [--out DIR|-] \
-                            [--pll-threads N] [--pll-batch N] \
-                            [--pll-load FILE] [--pll-save FILE] [--mutate N]"
-                        .into(),
-                )
-            }
-            name => which.push(name.to_string()),
+            "--help" | "-h" => return Err(USAGE.into()),
+            name if SECTIONS.contains(&name) => which.push(name.to_string()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'\n{USAGE}")),
+            name => return Err(format!("unknown section '{name}'\n{USAGE}")),
         }
     }
     if which.is_empty() {
@@ -118,7 +133,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -508,31 +523,38 @@ fn serve_section(tb: &Testbed) -> String {
     )
 }
 
-/// The `serve-overload` section: drives a paced 2x overload through a
-/// brownout-enabled [`atd_serve::QueryService`], with a high-priority
-/// probe stream riding alongside the low-priority flood, then waits for
-/// the service to recover to the Normal tier and renders the shed /
-/// degradation ledger.
+/// The `serve-overload` section: offers the same paced 2x overload to a
+/// 2-worker [`atd_serve::QueryService`] twice, once failing fast
+/// (brownout off) and once with brownout tiers on, with a high-priority
+/// probe stream riding alongside the low-priority flood. Each arm then
+/// answers high-priority queries until its tier is back to Normal (at
+/// once when brownout never entered) and renders its answered, degraded
+/// and shed counts and its goodput: flood answers over the flood's wall
+/// time, from the first submit to the last reply. The section reports the
+/// comparison and does not judge which arm wins.
 ///
-/// Mirrors the `overload_tiers` bench group: the queue is kept shallow
-/// so admitted requests stay deadline-feasible and the contrast comes
-/// from the serving strategy (anytime partials + admission sheds), not
-/// from unbounded queue wait.
+/// The queue is kept shallow so admitted requests stay deadline-feasible
+/// and the arms differ in serving strategy (full scans vs anytime
+/// partials + admission sheds), not in unbounded queue wait.
 fn overload_section(tb: &Testbed) -> String {
     use atd_serve::{
         AdmissionConfig, BrownoutConfig, BrownoutTier, Priority, QueryService, Request, ServeConfig,
     };
     use std::time::Duration;
 
-    let engine = atd_core::Discovery::with_options(
-        tb.net.graph.clone(),
-        tb.net.skills.clone(),
-        DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
-    )
-    .expect("overload engine");
+    let gamma = 0.6;
+    let strategy = atd_core::Strategy::SaCaCc { gamma, lambda: 0.6 };
+    let engine = || {
+        atd_core::Discovery::with_options(
+            tb.net.graph.clone(),
+            tb.net.skills.clone(),
+            DiscoveryOptions {
+                threads: Some(1),
+                ..Default::default()
+            },
+        )
+        .expect("overload engine")
+    };
     let projects = atd_eval::workload::generate_projects(
         &tb.net.skills,
         &atd_eval::workload::WorkloadConfig {
@@ -541,143 +563,178 @@ fn overload_section(tb: &Testbed) -> String {
             ..Default::default()
         },
     );
-    let strategy = atd_core::Strategy::SaCaCc {
-        gamma: 0.6,
-        lambda: 0.6,
-    };
 
     // Calibrate the mean service time so the 2x overload holds by
-    // construction at every --scale.
+    // construction at every --scale. The first calibration query also
+    // builds the engine's γ index, and the mean includes that build.
+    let fail_fast_engine = engine();
     let t = Instant::now();
     for p in &projects {
-        engine.top_k(p, strategy, 3).expect("calibration query");
+        fail_fast_engine
+            .top_k(p, strategy, 3)
+            .expect("calibration query");
     }
     let mean = t.elapsed() / projects.len() as u32;
+    // The brownout arm's engine starts with its γ index built too.
+    let brownout_engine = engine();
+    brownout_engine.prepare_gamma(gamma).expect("γ index");
 
     let workers = 2usize;
     let deadline = (mean * 8).max(Duration::from_millis(2));
     let interval = (mean / (workers as u32 * 2)).max(Duration::from_micros(20));
-    let service = std::sync::Arc::new(QueryService::start(
-        engine,
-        ServeConfig {
-            workers,
-            queue_capacity: 8,
-            default_deadline: Some(deadline),
-            admission: AdmissionConfig {
-                predictive: false,
-                low_priority_headroom: 2,
-                ..AdmissionConfig::default()
-            },
-            brownout: BrownoutConfig {
-                p99_target: Some((mean * 2).max(Duration::from_micros(500))),
-                window: 16,
-                brownout_root_fraction: 0.2,
-                ..BrownoutConfig::default()
-            },
-        },
-    ));
-
+    let p99_target = (mean * 2).max(Duration::from_micros(500));
     let flood = 200usize;
     let probes = 20usize;
-    let (answered, degraded, expired, shed, probe_ok) = std::thread::scope(|scope| {
-        // High-priority probe stream: one request every 10 submit slots,
-        // must never be shed at admission.
-        let probe_service = std::sync::Arc::clone(&service);
-        let probe_projects = &projects;
-        let probe_handle = scope.spawn(move || {
-            let mut ok = 0usize;
-            for i in 0..probes {
-                let req = Request::new(
-                    probe_projects[i % probe_projects.len()].clone(),
-                    strategy,
-                    3,
-                )
-                .with_priority(Priority::High);
-                match probe_service.query(req) {
-                    Ok(_) => ok += 1,
-                    Err(atd_serve::ServeError::DeadlineExceeded) => {}
-                    Err(e) => panic!("high-priority probe shed: {e}"),
-                }
-                std::thread::sleep(interval * 10);
-            }
-            ok
-        });
+    let mut report = format!(
+        "offered {flood} low-priority + {probes} high-priority per arm at 2x capacity \
+         (mean {mean:.1?}, deadline {deadline:.1?}, brownout p99 target {p99_target:.1?})"
+    );
+    let arms = [
+        ("fail-fast", fail_fast_engine, None),
+        ("brownout", brownout_engine, Some(p99_target)),
+    ];
+    for (arm, engine, p99_target) in arms {
+        let service = std::sync::Arc::new(QueryService::start(
+            engine,
+            ServeConfig {
+                workers,
+                queue_capacity: 8,
+                default_deadline: Some(deadline),
+                admission: AdmissionConfig {
+                    predictive: false,
+                    low_priority_headroom: 2,
+                    ..AdmissionConfig::default()
+                },
+                brownout: BrownoutConfig {
+                    p99_target,
+                    window: 16,
+                    brownout_root_fraction: 0.2,
+                    ..BrownoutConfig::default()
+                },
+            },
+        ));
 
-        let (tx, rx) = std::sync::mpsc::channel::<atd_serve::ResponseHandle>();
-        let waiter = scope.spawn(move || {
-            let mut answered = 0usize;
-            let mut degraded = 0usize;
-            let mut expired = 0usize;
-            for handle in rx.iter() {
-                match handle.wait() {
-                    Ok(resp) => {
-                        answered += 1;
-                        if resp.degraded.is_some() {
-                            degraded += 1;
+        let (answered, degraded, expired, shed, flood_wall, probe_ok) =
+            std::thread::scope(|scope| {
+                // High-priority probe stream: one request every 10 submit
+                // slots, must never be shed at admission.
+                let probe_service = std::sync::Arc::clone(&service);
+                let probe_projects = &projects;
+                let probe_handle = scope.spawn(move || {
+                    let mut ok = 0usize;
+                    for i in 0..probes {
+                        let req = Request::new(
+                            probe_projects[i % probe_projects.len()].clone(),
+                            strategy,
+                            3,
+                        )
+                        .with_priority(Priority::High);
+                        match probe_service.query(req) {
+                            Ok(_) => ok += 1,
+                            Err(atd_serve::ServeError::DeadlineExceeded) => {}
+                            Err(e) => panic!("high-priority probe shed: {e}"),
+                        }
+                        std::thread::sleep(interval * 10);
+                    }
+                    ok
+                });
+
+                let (tx, rx) = std::sync::mpsc::channel::<atd_serve::ResponseHandle>();
+                let waiter = scope.spawn(move || {
+                    let mut answered = 0usize;
+                    let mut degraded = 0usize;
+                    let mut expired = 0usize;
+                    for handle in rx.iter() {
+                        match handle.wait() {
+                            Ok(resp) => {
+                                answered += 1;
+                                if resp.degraded.is_some() {
+                                    degraded += 1;
+                                }
+                            }
+                            Err(atd_serve::ServeError::DeadlineExceeded) => expired += 1,
+                            Err(e) => panic!("unexpected worker error: {e}"),
                         }
                     }
-                    Err(atd_serve::ServeError::DeadlineExceeded) => expired += 1,
-                    Err(e) => panic!("unexpected worker error: {e}"),
+                    (answered, degraded, expired)
+                });
+
+                let mut shed = 0usize;
+                let t0 = Instant::now();
+                for i in 0..flood {
+                    while Instant::now() < t0 + interval * (i as u32 + 1) {
+                        std::hint::spin_loop();
+                    }
+                    let req = Request::new(projects[i % projects.len()].clone(), strategy, 3);
+                    match service.submit(req) {
+                        Ok(handle) => tx.send(handle).expect("waiter alive"),
+                        Err(
+                            atd_serve::ServeError::Overloaded { .. }
+                            | atd_serve::ServeError::BrownoutShed
+                            | atd_serve::ServeError::DeadlineInfeasible { .. },
+                        ) => shed += 1,
+                        Err(e) => panic!("unexpected admission error: {e}"),
+                    }
                 }
-            }
-            (answered, degraded, expired)
-        });
+                drop(tx);
+                let (answered, degraded, expired) = waiter.join().expect("waiter");
+                let flood_wall = t0.elapsed();
+                let probe_ok = probe_handle.join().expect("probe stream");
+                (answered, degraded, expired, shed, flood_wall, probe_ok)
+            });
 
-        let mut shed = 0usize;
-        let t0 = Instant::now();
-        for i in 0..flood {
-            while Instant::now() < t0 + interval * (i as u32 + 1) {
-                std::hint::spin_loop();
+        // Recovery: high-priority traffic keeps feeding the latency window
+        // (Brownout2 sheds low-priority at admission, and shed requests
+        // never reach the p99 estimator), so the tier must walk back down.
+        let mut attempts = 0usize;
+        loop {
+            let stats = service.stats();
+            if stats.brownout_exits >= stats.brownout_entries
+                && service.brownout_tier() == BrownoutTier::Normal
+            {
+                break;
             }
-            let req = Request::new(projects[i % projects.len()].clone(), strategy, 3);
-            match service.submit(req) {
-                Ok(handle) => tx.send(handle).expect("waiter alive"),
-                Err(
-                    atd_serve::ServeError::Overloaded { .. }
-                    | atd_serve::ServeError::BrownoutShed
-                    | atd_serve::ServeError::DeadlineInfeasible { .. },
-                ) => shed += 1,
-                Err(e) => panic!("unexpected admission error: {e}"),
-            }
+            assert!(attempts < 3_000, "{arm}: brownout never recovered: {stats}");
+            attempts += 1;
+            let req = Request::new(projects[attempts % projects.len()].clone(), strategy, 3)
+                .with_priority(Priority::High);
+            let _ = service.query(req);
         }
-        drop(tx);
-        let (answered, degraded, expired) = waiter.join().expect("waiter");
-        let probe_ok = probe_handle.join().expect("probe stream");
-        (answered, degraded, expired, shed, probe_ok)
-    });
 
-    // Recovery: high-priority traffic keeps feeding the latency window
-    // (Brownout2 sheds low-priority at admission, and shed requests
-    // never reach the p99 estimator), so the tier must walk back down.
-    let mut attempts = 0usize;
-    loop {
         let stats = service.stats();
-        if stats.brownout_exits >= stats.brownout_entries
-            && service.brownout_tier() == BrownoutTier::Normal
-        {
-            break;
-        }
-        assert!(attempts < 3_000, "brownout never recovered: {stats}");
-        attempts += 1;
-        let req = Request::new(projects[attempts % projects.len()].clone(), strategy, 3)
-            .with_priority(Priority::High);
-        let _ = service.query(req);
+        assert!(stats.reconciles(), "{arm}: ledger out of balance: {stats}");
+        assert_eq!(
+            shed as u64,
+            stats.shed_at_admission(),
+            "{arm}: client-side shed count disagrees with service counters"
+        );
+        let goodput = answered as f64 / flood_wall.as_secs_f64();
+        report += &format!(
+            "\n{arm}: {answered} answered ({degraded} degraded partials), {shed} shed at admission, \
+             {expired} expired; goodput {goodput:.1} answers/s over {flood_wall:.1?}\n\
+             {arm}: probes {probe_ok}/{probes} answered, zero admission sheds; \
+             brownout {} entries / {} exits, Normal after {attempts} more probe queries\n\
+             {arm} counters: {stats}",
+            stats.brownout_entries, stats.brownout_exits,
+        );
+    }
+    report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
     }
 
-    let stats = service.stats();
-    assert!(stats.reconciles(), "ledger out of balance: {stats}");
-    assert_eq!(
-        shed as u64,
-        stats.shed_at_admission(),
-        "client-side shed count disagrees with service counters"
-    );
-    format!(
-        "offered {flood} low-priority + {probes} high-priority at 2x capacity \
-         (mean {mean:.1?}, deadline {deadline:.1?})\n\
-         flood: {answered} answered ({degraded} degraded partials), {shed} shed at admission, {expired} expired\n\
-         probes: {probe_ok}/{probes} answered, zero admission sheds\n\
-         brownout: {} entries / {} exits, recovered to Normal after {attempts} probe queries\n\
-         counters: {stats}",
-        stats.brownout_entries, stats.brownout_exits,
-    )
+    #[test]
+    fn known_sections_and_flags_parse() {
+        let args = parse(&["serve-overload", "fig3", "--scale", "tiny", "--out", "-"]).unwrap();
+        assert_eq!(args.which, ["serve-overload", "fig3"]);
+        assert_eq!(args.scale, Scale::Tiny);
+        assert!(args.out.is_none());
+        assert_eq!(parse(&[]).unwrap().which, ["all"]);
+    }
 }

@@ -9,8 +9,9 @@
 //!   factor biases search toward authority. We quantify the effect on the
 //!   realized objective.
 //! * **Oracle choice** — PLL vs. memoized-Dijkstra answers must agree
-//!   exactly; the latency comparison lives in the Criterion bench
-//!   `pll_vs_dijkstra`.
+//!   exactly; for their costs, the repo benchmark's `--trace 1` run
+//!   reports a label lookup (`distance.lookup_ns`) next to a Dijkstra
+//!   search (`graph.dijkstra_us`).
 
 use std::path::Path;
 

@@ -7,8 +7,8 @@
 //! indices pre-built (the paper's 2-hop cover is an offline step), so the
 //! shape claims — flat across strategies, growing with skills — are
 //! directly checkable. Absolute numbers depend on scale and hardware; the
-//! Criterion bench `query_runtime` gives the statistically rigorous
-//! version.
+//! repo benchmark's `query` workload (`benchmark/README.md`) measures
+//! serving latency and QPS over repeated seeded runs.
 
 use std::path::Path;
 use std::time::Instant;

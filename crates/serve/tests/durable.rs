@@ -240,25 +240,55 @@ fn single_edge_relax_takes_the_incremental_path_bit_identically() {
     let net = common::network(27);
     let dir = tempdir("incremental");
     let genesis = net.graph.clone();
-    let (mut service, _) =
-        DurableService::open(&dir, net.skills.clone(), config(), || genesis).unwrap();
+    let mut cfg = config();
+    // The chain checks the patch mechanism; the hub-budget policy has a
+    // test of its own (over_budget_delta_falls_back_...).
+    cfg.discovery.pll_build.incremental_hub_budget = Some(usize::MAX);
+    let (mut service, _) = DurableService::open(&dir, net.skills.clone(), cfg, || genesis).unwrap();
     assert_eq!(service.service().stats().incremental_applied, 0);
     assert_eq!(service.service().stats().full_rebuild_fallbacks, 0);
 
-    // One lowered edge: patched incrementally, never rebuilt.
-    let (d1, g1) = relax_delta(&net.graph);
-    let r1 = service.publish_mutation(&d1).unwrap();
-    let stats = service.service().stats();
-    assert_eq!(stats.incremental_applied, 1, "relax must patch in place");
-    assert_eq!(stats.full_rebuild_fallbacks, 0);
-    assert_eq!(r1.graph_fingerprint, graph_fingerprint(&g1));
+    // A chain of single-edge relaxations, round-robin over the eight
+    // eligible edges with the lightest endpoints. Eligible means strictly
+    // positive (halving changes bits) and below the max weight (the
+    // normalization scale stays). Every link is patched in place on top
+    // of the previous patch, never rebuilt, and the composed patches
+    // must answer like an engine built from scratch.
+    let w_max = net.graph.edges().map(|(_, _, w)| w).fold(0.0f64, f64::max);
+    let mut edges: Vec<(NodeId, NodeId)> = net
+        .graph
+        .edges()
+        .filter(|&(_, _, w)| w > 0.0 && w < w_max)
+        .map(|(u, v, _)| (u, v))
+        .collect();
+    edges.sort_by_key(|&(u, v)| net.graph.degree(u) + net.graph.degree(v));
+    edges.truncate(8);
+    assert_eq!(edges.len(), 8, "network has 8 relaxable edges");
     let projects = common::projects(&net, 6);
-    assert_serves_like(
-        &service,
-        &reference_engine(&g1, &net.skills),
-        &projects,
-        "incremental publish",
-    );
+    let mut relaxed = net.graph.clone();
+    for i in 0..24u64 {
+        let (u, v) = edges[i as usize % edges.len()];
+        let mut delta = GraphDelta::new();
+        delta.reinforce_edge(u, v, relaxed.edge_weight(u, v).unwrap() * 0.5);
+        relaxed = relaxed.apply_delta(&delta).unwrap();
+        let receipt = service.publish_mutation(&delta).unwrap();
+        assert_eq!(receipt.graph_fingerprint, graph_fingerprint(&relaxed));
+        let stats = service.service().stats();
+        assert_eq!(
+            stats.incremental_applied,
+            i + 1,
+            "relax {i} must patch in place"
+        );
+        assert_eq!(stats.full_rebuild_fallbacks, 0);
+        if (i + 1) % 12 == 0 {
+            assert_serves_like(
+                &service,
+                &reference_engine(&relaxed, &net.skills),
+                &projects,
+                &format!("{} incremental publishes", i + 1),
+            );
+        }
+    }
 
     // A structural delta (new edge) routes to the full rebuild.
     let mut d2 = GraphDelta::new();
@@ -272,9 +302,9 @@ fn single_edge_relax_takes_the_incremental_path_bit_identically() {
     );
     service.publish_mutation(&d2).unwrap();
     let stats = service.service().stats();
-    assert_eq!(stats.incremental_applied, 1);
+    assert_eq!(stats.incremental_applied, 24);
     assert_eq!(stats.full_rebuild_fallbacks, 1, "structural must rebuild");
-    let g2 = g1.apply_delta(&d2).unwrap();
+    let g2 = relaxed.apply_delta(&d2).unwrap();
     assert_serves_like(
         &service,
         &reference_engine(&g2, &net.skills),

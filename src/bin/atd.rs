@@ -70,6 +70,18 @@ impl Flags {
         self.get(key).ok_or_else(|| format!("missing --{key}"))
     }
 
+    /// Rejects any flag not in `taken`, so a misspelt option fails
+    /// instead of leaving its setting at the default.
+    fn take_only(&self, taken: &[&str]) -> Result<(), String> {
+        match self.0.iter().find(|(k, _)| !taken.contains(&k.as_str())) {
+            None => Ok(()),
+            Some((k, _)) => Err(format!(
+                "unknown flag --{k} (takes --{})",
+                taken.join(", --")
+            )),
+        }
+    }
+
     fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
@@ -106,6 +118,7 @@ fn main() -> ExitCode {
 }
 
 fn cmd_synth(flags: &Flags) -> Result<(), String> {
+    flags.take_only(&["authors", "seed", "out"])?;
     let authors: usize = flags.parse_num("authors", 2_000)?;
     let seed: u64 = flags.parse_num("seed", 42)?;
     let out = flags.require("out")?;
@@ -125,6 +138,7 @@ fn cmd_synth(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_build(flags: &Flags) -> Result<(), String> {
+    flags.take_only(&["xml", "out"])?;
     let xml = flags.require("xml")?;
     let out = flags.require("out")?;
     let file = File::open(xml).map_err(|e| format!("open {xml}: {e}"))?;
@@ -150,6 +164,7 @@ fn load(flags: &Flags) -> Result<NetworkSnapshot, String> {
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
+    flags.take_only(&["network"])?;
     let snap = load(flags)?;
     println!("experts:       {}", snap.graph.num_nodes());
     println!("edges:         {}", snap.graph.num_edges());
@@ -227,6 +242,7 @@ fn print_team(snap: &NetworkSnapshot, st: &team_discovery::core::team::ScoredTea
 }
 
 fn cmd_discover(flags: &Flags) -> Result<(), String> {
+    flags.take_only(&["network", "skills", "strategy", "gamma", "lambda", "top-k"])?;
     let snap = load(flags)?;
     let strategy = parse_strategy(flags)?;
     let project = parse_project(flags, &snap)?;
@@ -246,6 +262,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_pareto(flags: &Flags) -> Result<(), String> {
+    flags.take_only(&["network", "skills", "k"])?;
     let snap = load(flags)?;
     let project = parse_project(flags, &snap)?;
     let k: usize = flags.parse_num("k", 3)?;
@@ -262,6 +279,7 @@ fn cmd_pareto(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_replace(flags: &Flags) -> Result<(), String> {
+    flags.take_only(&["network", "skills", "member", "strategy", "gamma", "lambda"])?;
     let snap = load(flags)?;
     let strategy = parse_strategy(flags)?;
     let project = parse_project(flags, &snap)?;
@@ -327,6 +345,39 @@ mod tests {
     fn bad_numbers_error() {
         let f = flags(&["--gamma", "not-a-number"]).unwrap();
         assert!(f.parse_num::<f64>("gamma", 0.5).is_err());
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_take() {
+        type Cmd = fn(&Flags) -> Result<(), String>;
+        let cases: [(Cmd, &[&str]); 6] = [
+            (cmd_synth, &["--out", "c.xml", "--author", "9"]),
+            (
+                cmd_build,
+                &["--xml", "c.xml", "--out", "n.atd", "--seed", "1"],
+            ),
+            (cmd_stats, &["--network", "n.atd", "--top-k", "3"]),
+            (
+                cmd_discover,
+                &["--network", "n.atd", "--skills", "a", "--gama", "1.5"],
+            ),
+            (
+                cmd_pareto,
+                &["--network", "n.atd", "--skills", "a", "--top-k", "3"],
+            ),
+            (
+                cmd_replace,
+                &["--network", "n.atd", "--member", "X", "--k", "3"],
+            ),
+        ];
+        for (cmd, args) in cases {
+            let bad = &args[args.len() - 2];
+            let err = cmd(&flags(args).unwrap()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag {bad} ")),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]
