@@ -42,7 +42,7 @@
 //! (different roots growing the same team) are deduplicated, which is why
 //! the scan oversamples `k`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -50,7 +50,7 @@ use parking_lot::RwLock;
 
 use atd_distance::{
     BuildConfig as PllBuildConfig, BuildProfile, IncrementalError, IncrementalReport, LabelStats,
-    PrunedLandmarkLabeling, RetryPolicy, SourceScatter, VertexOrder,
+    PrunedLandmarkLabeling, SourceScatter, VertexOrder,
 };
 use atd_graph::{dijkstra_with_targets, ExpertGraph, NodeId, SubTree};
 
@@ -96,12 +96,11 @@ pub struct DiscoveryOptions {
     /// storage tag other than flat CSR) triggers the normal build, whose
     /// result is then saved to this path for the next start.
     /// Loaded and built indexes are bit-identical, so discovery results
-    /// never depend on which path ran. Transformed (γ) indexes get the
-    /// same treatment via per-γ sidecar files next to this path (see
-    /// [`Discovery::gamma_index_path`]), so CA-CC / SA-CA-CC engines
-    /// also stop rebuilding on cold start. Opening an engine with a path
-    /// also sweeps orphaned `.tmp.<pid>.<seq>` files that a crashed save
-    /// left next to it ([`atd_distance::persist::sweep_orphaned_tmp`]).
+    /// never depend on which path ran. Only the base index touches the
+    /// file: transformed (γ) indexes are always built in memory. Opening
+    /// an engine with a path also sweeps orphaned `.tmp.<pid>.<seq>`
+    /// files that a crashed save left next to it
+    /// ([`atd_distance::persist::sweep_orphaned_tmp`]).
     pub pll_index_path: Option<PathBuf>,
     /// With `pll_index_path` set, require the index to **load** — never
     /// fall back to a rebuild. A missing, stale, corrupt, or
@@ -111,12 +110,6 @@ pub struct DiscoveryOptions {
     /// (keeping the old snapshot) rather than block a swap thread on an
     /// unplanned multi-second rebuild.
     pub pll_load_only: bool,
-    /// Retry policy for the persistence I/O of the cold start (the
-    /// index load, and the save-after-build). Only transient I/O errors
-    /// are retried; structural failures (stale/corrupt files) keep
-    /// their load-or-build semantics. Default: 3 attempts, 10 ms → 20 ms
-    /// capped backoff.
-    pub pll_retry: RetryPolicy,
 }
 
 impl Default for DiscoveryOptions {
@@ -130,7 +123,6 @@ impl Default for DiscoveryOptions {
             pll_build: PllBuildConfig::default(),
             pll_index_path: None,
             pll_load_only: false,
-            pll_retry: RetryPolicy::default(),
         }
     }
 }
@@ -157,8 +149,7 @@ impl RankingContext {
 
     /// The load-or-build cold start: load the index from `path` when its
     /// snapshot fingerprint matches `graph`; otherwise build normally and
-    /// save the result to `path`. Both the load and the save run under
-    /// `options.pll_retry` (transient I/O retried with capped backoff).
+    /// save the result to `path`.
     ///
     /// Failure handling is graceful in both directions: a load failure
     /// silently falls back to the build (unless `options.pll_load_only`,
@@ -176,7 +167,7 @@ impl RankingContext {
         // next to the index (dead-writer-only, so a concurrent saver in
         // another process is never raced).
         atd_distance::persist::sweep_orphaned_tmp(path);
-        match PrunedLandmarkLabeling::load_from_with_retry(path, &graph, &options.pll_retry) {
+        match PrunedLandmarkLabeling::load_from(path, &graph) {
             Ok(pll) => {
                 return Ok((
                     RankingContext {
@@ -196,42 +187,14 @@ impl RankingContext {
             Err(_) => {}
         }
         let ctx = RankingContext::build(graph, &options.pll_build);
-        let warning = ctx
-            .pll
-            .save_to_with_retry(path, &ctx.graph, &options.pll_retry)
-            .err()
-            .map(|e| {
-                format!(
-                    "index save to {} failed: {e}; serving from the in-memory \
-                     index (the next cold start will rebuild)",
-                    path.display()
-                )
-            });
+        let warning = ctx.pll.save_to(path, &ctx.graph).err().map(|e| {
+            format!(
+                "index save to {} failed: {e}; serving from the in-memory \
+                 index (the next cold start will rebuild)",
+                path.display()
+            )
+        });
         Ok((ctx, warning))
-    }
-
-    /// Sidecar variant of the cold start used for transformed (γ)
-    /// indexes — infallible by design. γ contexts are derived data, so
-    /// `pll_load_only` strictness stays a base-index contract: any load
-    /// failure (missing, stale, corrupt, foreign format) falls back to
-    /// the build, and the save-after-build is best-effort (a read-only
-    /// index directory must not poison an otherwise healthy query path).
-    fn load_or_build_sidecar(graph: ExpertGraph, options: &DiscoveryOptions, path: &Path) -> Self {
-        atd_distance::persist::sweep_orphaned_tmp(path);
-        if let Ok(pll) =
-            PrunedLandmarkLabeling::load_from_with_retry(path, &graph, &options.pll_retry)
-        {
-            return RankingContext {
-                graph,
-                pll,
-                loaded_from_disk: true,
-            };
-        }
-        let ctx = RankingContext::build(graph, &options.pll_build);
-        let _ = ctx
-            .pll
-            .save_to_with_retry(path, &ctx.graph, &options.pll_retry);
-        ctx
     }
 }
 
@@ -243,18 +206,42 @@ struct Candidate {
     assignment: Vec<(crate::skills::SkillId, NodeId)>,
 }
 
+/// The stop policy of a search: what a cancel returns and how far the
+/// root scan goes.
+#[derive(Clone, Copy, Debug)]
+enum Stop {
+    /// A cancel returns [`DiscoveryError::Cancelled`]; the scan covers
+    /// every root on `DiscoveryOptions::threads` workers.
+    FailFast,
+    /// A cancel returns the best answer so far; the scan covers the first
+    /// `budget` roots (all of them when `None`) on the caller's thread.
+    Anytime { budget: Option<usize> },
+}
+
+impl Stop {
+    /// What a cancel seen mid-search does: fail, or keep what is in hand.
+    fn on_cancel(self) -> Result<(), DiscoveryError> {
+        match self {
+            Stop::FailFast => Err(DiscoveryError::Cancelled),
+            Stop::Anytime { .. } => Ok(()),
+        }
+    }
+}
+
 /// Best-so-far outcome of an **anytime** search
 /// ([`Discovery::top_k_anytime`]).
 ///
 /// Algorithm 1 improves monotonically as more rank-ordered roots are
 /// scanned, so work done before a deadline expires is a bounded-quality
-/// answer, not waste. The bound is explicit: `roots_scanned` of
-/// `total_roots` candidate roots were evaluated before the search
-/// stopped, and `exhausted` says whether anything was left undone.
+/// answer, not waste. The bound is explicit: the first `roots_scanned`
+/// of `total_roots` candidate roots, in id order, were evaluated before
+/// the search stopped, and `exhausted` says whether anything was left
+/// undone.
 ///
 /// **Determinism contract:** a result with `exhausted == true` is
-/// bit-identical to [`Discovery::top_k`] on the same engine (the anytime
-/// scan is the sequential scan). Two runs with the same explicit root
+/// bit-identical to [`Discovery::top_k`] on the same engine, whatever its
+/// thread count: both run the same search, and a parallel scan keeps the
+/// candidates the sequential one keeps. Two runs with the same explicit root
 /// budget produce bit-identical partials. Two runs stopped by a
 /// *wall-clock* deadline are **not** reproducible — the poll that trips
 /// depends on timing — which is why degraded serving responses carry
@@ -504,29 +491,6 @@ impl Discovery {
         Ok(())
     }
 
-    /// The sidecar path where the transformed index for `gamma` is
-    /// persisted: `<pll_index_path>.g<γ bits as 16 hex digits>`, derived
-    /// from the exact `f64` bit pattern so distinct γ values can never
-    /// collide. `None` when no `pll_index_path` is configured (γ indexes
-    /// then stay in-memory only, as before).
-    pub fn gamma_index_path(&self, gamma: f64) -> Option<PathBuf> {
-        let base = self.options.pll_index_path.as_ref()?;
-        let mut p = base.as_os_str().to_os_string();
-        p.push(format!(".g{:016x}", gamma.to_bits()));
-        Some(PathBuf::from(p))
-    }
-
-    /// Whether the cached transformed index for `gamma` came off its
-    /// sidecar file instead of being built. `false` when the context has
-    /// not been touched yet, no index path is configured, or the sidecar
-    /// was missing/stale (which triggered a build-and-save).
-    pub fn gamma_index_loaded(&self, gamma: f64) -> bool {
-        self.transformed
-            .read()
-            .get(&gamma.to_bits())
-            .is_some_and(|ctx| ctx.loaded_from_disk)
-    }
-
     fn context_for(&self, gamma: Option<f64>) -> Arc<RankingContext> {
         match gamma {
             None => Arc::clone(&self.base),
@@ -536,11 +500,7 @@ impl Discovery {
                     return Arc::clone(ctx);
                 }
                 let gp = authority_transform(&self.graph, &self.norm, g);
-                let ctx = match self.gamma_index_path(g) {
-                    Some(path) => RankingContext::load_or_build_sidecar(gp, &self.options, &path),
-                    None => RankingContext::build(gp, &self.options.pll_build),
-                };
-                let ctx = Arc::new(ctx);
+                let ctx = Arc::new(RankingContext::build(gp, &self.options.pll_build));
                 self.transformed.write().insert(key, Arc::clone(&ctx));
                 ctx
             }
@@ -568,8 +528,9 @@ impl Discovery {
     /// ([`PrunedLandmarkLabeling::query_one_to_many`]) instead of
     /// independent merge-joins, eliminating the repeated root-side label
     /// walk. Skill-holder lists are in ascending node-id order
-    /// ([`SkillIndex`] builds them that way), so the `<` tie-break makes
-    /// the scan deterministic regardless of thread count.
+    /// ([`SkillIndex`] builds them that way), so among equally cheap
+    /// holders the lowest id wins. [`Discovery::scan_roots`] is its only
+    /// caller.
     fn evaluate_root(
         &self,
         strategy: Strategy,
@@ -609,15 +570,18 @@ impl Discovery {
         Some((cost, Candidate { root, assignment }))
     }
 
-    /// Scans every root in parallel, returning the best `limit` candidates
-    /// by algorithm cost.
+    /// Scans the roots for the best `limit` candidates by algorithm cost,
+    /// ties broken by root id, and returns them ascending together with
+    /// the number of roots scanned.
     ///
-    /// `cancel` is polled once per root (cooperative cancellation — the
-    /// greedy search loop's deadline hook); a cancelled scan returns
-    /// [`DiscoveryError::Cancelled`] promptly instead of finishing the
-    /// remaining roots. `scatter`, when given, is the caller's reusable
-    /// scratch (see [`QueryScratch`]); otherwise a fresh one is
-    /// allocated (sequential path) or one per worker (parallel path).
+    /// One per-root loop serves every path: it runs once on the caller's
+    /// thread (with the caller's `scatter` when given, see
+    /// [`QueryScratch`]), or once per worker over a stride of the roots
+    /// with a scatter of its own. Worker lists are merged in (cost, root
+    /// id) order, so every thread count returns the sequential answer.
+    /// `cancel` is polled once per root; `stop` decides what a cancel
+    /// returns and how far the scan goes.
+    #[allow(clippy::too_many_arguments)]
     fn scan_roots(
         &self,
         strategy: Strategy,
@@ -626,86 +590,67 @@ impl Discovery {
         limit: usize,
         cancel: &CancelToken,
         scatter: Option<&mut SourceScatter>,
-    ) -> Result<Vec<(f64, Candidate)>, DiscoveryError> {
+        stop: Stop,
+    ) -> Result<(Vec<(f64, Candidate)>, usize), DiscoveryError> {
         let n = self.graph.num_nodes();
-        let threads = self
-            .options
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, n.max(1));
-
-        if threads <= 1 || n < 256 {
-            let mut owned;
-            let scatter = match scatter {
-                Some(s) => s,
-                None => {
-                    owned = pll.scatter();
-                    &mut owned
-                }
-            };
-            let mut local = BoundedTopK::new(limit);
-            for i in 0..n {
+        let (threads, end) = match stop {
+            Stop::FailFast => {
+                let threads = self.options.threads.unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(|p| p.get())
+                        .unwrap_or(1)
+                });
+                (threads.clamp(1, n.max(1)), n)
+            }
+            Stop::Anytime { budget } => (1, budget.unwrap_or(n).min(n)),
+        };
+        // Roots `start, start + step, …` below `end`. They are offered in
+        // ascending id order, so `BoundedTopK` keeps the lower id of tied
+        // costs.
+        let scan = |scatter: &mut SourceScatter, start: usize, step: usize| {
+            let mut best = BoundedTopK::new(limit);
+            let mut scanned = 0;
+            for i in (start..end).step_by(step) {
                 if cancel.is_cancelled() {
-                    return Err(DiscoveryError::Cancelled);
+                    break;
                 }
                 let root = NodeId::from_index(i);
                 if let Some((cost, cand)) =
                     self.evaluate_root(strategy, pll, scatter, project, root)
                 {
-                    local.offer(cost, cand);
+                    best.offer(cost, cand);
                 }
+                scanned += 1;
             }
-            return Ok(local.into_sorted());
-        }
-
-        let mut merged = BoundedTopK::new(limit);
-        let lists = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let pll_ref = &*pll;
-                let project_ref = project;
-                let this = &*self;
-                handles.push(scope.spawn(move || {
-                    // One scatter scratch per worker, reused across all of
-                    // its roots.
-                    let mut scatter = pll_ref.scatter();
-                    let mut local = BoundedTopK::new(limit);
-                    // Strided partition keeps per-thread work balanced even
-                    // when expensive roots cluster by id.
-                    let mut i = t;
-                    while i < n {
-                        // Every worker polls; one cancelled worker's
-                        // early exit makes the whole scan abort below.
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let root = NodeId::from_index(i);
-                        if let Some((cost, cand)) =
-                            this.evaluate_root(strategy, pll_ref, &mut scatter, project_ref, root)
-                        {
-                            local.offer(cost, cand);
-                        }
-                        i += threads;
-                    }
-                    local
-                }));
+            (best.into_sorted(), scanned)
+        };
+        let (ranked, scanned) = if threads <= 1 || n < 256 {
+            match scatter {
+                Some(scatter) => scan(scatter, 0, 1),
+                None => scan(&mut pll.scatter(), 0, 1),
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("root-scan worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        if cancel.is_cancelled() {
-            return Err(DiscoveryError::Cancelled);
+        } else {
+            // A strided partition keeps per-thread work balanced even when
+            // expensive roots cluster by id.
+            let lists: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| scope.spawn(move || scan(&mut pll.scatter(), t, threads)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("root-scan worker panicked"))
+                    .collect()
+            });
+            let scanned = lists.iter().map(|(_, scanned)| scanned).sum();
+            let mut ranked: Vec<_> = lists.into_iter().flat_map(|(list, _)| list).collect();
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.root.cmp(&b.1.root)));
+            ranked.truncate(limit);
+            (ranked, scanned)
+        };
+        if scanned < end {
+            stop.on_cancel()?;
         }
-        for l in lists {
-            merged.merge(l);
-        }
-        Ok(merged.into_sorted())
+        Ok((ranked, scanned))
     }
 
     /// Materializes a candidate into a concrete team: one Dijkstra on the
@@ -750,7 +695,8 @@ impl Discovery {
     /// [`top_k`](Discovery::top_k) with the hooks a serving layer needs:
     /// a reusable per-caller [`QueryScratch`] (avoids the `O(n)` scatter
     /// allocation per query on the sequential path) and a [`CancelToken`]
-    /// polled once per scanned root and per materialized candidate.
+    /// polled once on entry, once per scanned root and once per
+    /// materialized candidate.
     ///
     /// Results are bit-identical to the plain entry point — scratch reuse
     /// and cancellation change *when* the search stops, never what a
@@ -764,79 +710,28 @@ impl Discovery {
         scratch: Option<&mut QueryScratch>,
         cancel: &CancelToken,
     ) -> Result<Vec<ScoredTeam>, DiscoveryError> {
-        strategy.validate()?;
-        if project.is_empty() {
-            return Err(DiscoveryError::EmptyProject);
-        }
-        for &s in project.skills() {
-            if self.skills.holders(s).is_empty() {
-                return Err(DiscoveryError::UncoverableSkill(s));
-            }
-        }
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        if cancel.is_cancelled() {
-            return Err(DiscoveryError::Cancelled);
-        }
-
-        let ctx = self.context_for(strategy.gamma());
-        let limit = k.saturating_mul(self.options.oversample.max(1)).max(k);
-        let key = strategy.gamma().map(f64::to_bits).unwrap_or(u64::MAX);
-        let scatter = scratch.map(|s| s.scatter_for(key, &ctx.pll));
-        let ranked = self.scan_roots(strategy, &ctx.pll, project, limit, cancel, scatter)?;
-        if ranked.is_empty() {
-            return Err(DiscoveryError::NoTeamFound);
-        }
-
-        let mut out: Vec<ScoredTeam> = Vec::with_capacity(ranked.len());
-        let mut seen: std::collections::HashSet<Vec<NodeId>> = std::collections::HashSet::new();
-        for (cost, cand) in ranked {
-            if cancel.is_cancelled() {
-                return Err(DiscoveryError::Cancelled);
-            }
-            let Some(team) = self.materialize(&ctx.graph, &cand) else {
-                continue;
-            };
-            if !seen.insert(team.member_key()) {
-                continue;
-            }
-            let score = score_team(&self.norm, &team, self.options.duplicate_policy);
-            let objective = strategy.objective(&score);
-            out.push(ScoredTeam {
-                team,
-                score,
-                objective,
-                algorithm_cost: cost,
-            });
-        }
-        if out.is_empty() {
-            return Err(DiscoveryError::NoTeamFound);
-        }
-        out.sort_by(|a, b| {
-            a.objective
-                .total_cmp(&b.objective)
-                .then(a.algorithm_cost.total_cmp(&b.algorithm_cost))
-        });
-        out.truncate(k);
-        Ok(out)
+        Ok(self
+            .search(project, strategy, k, scratch, cancel, Stop::FailFast)?
+            .teams)
     }
 
     /// Anytime variant of [`top_k_with`](Discovery::top_k_with): deadline
     /// expiry (or an explicit cancel) returns the **best answer found so
     /// far** instead of [`DiscoveryError::Cancelled`].
     ///
-    /// The scan always runs sequentially in ascending root order —
-    /// regardless of `DiscoveryOptions::threads` — so `roots_scanned` is
-    /// exact and a fixed `root_budget` yields bit-identical partials
-    /// across runs. `root_budget` caps the scan to the first `n` roots
-    /// (a serving layer's brownout knob); `None` scans everything the
-    /// token allows.
+    /// The scan runs on the caller's thread in ascending root order —
+    /// whatever `DiscoveryOptions::threads` says — so `roots_scanned` is
+    /// an exact prefix and a fixed `root_budget` yields bit-identical
+    /// partials across runs. `root_budget` caps the scan to the first `n`
+    /// roots (a serving layer's brownout knob); `None` scans everything
+    /// the token allows. The token is polled at the same points as in
+    /// [`top_k_with`](Discovery::top_k_with).
     ///
     /// Outcomes:
     ///
     /// * ran to completion → `exhausted == true`, bit-identical to
-    ///   [`top_k`](Discovery::top_k) on a sequential-scan engine;
+    ///   [`top_k`](Discovery::top_k) on the same engine, whatever its
+    ///   thread count;
     /// * stopped early with teams in hand → `Ok` partial,
     ///   `exhausted == false`;
     /// * stopped early with nothing materialized yet → `Ok` partial with
@@ -855,6 +750,26 @@ impl Discovery {
         cancel: &CancelToken,
         root_budget: Option<usize>,
     ) -> Result<PartialResult, DiscoveryError> {
+        let stop = Stop::Anytime {
+            budget: root_budget,
+        };
+        self.search(project, strategy, k, scratch, cancel, stop)
+    }
+
+    /// The one query pipeline behind [`top_k_with`](Discovery::top_k_with)
+    /// and [`top_k_anytime`](Discovery::top_k_anytime): validate, pick up
+    /// the ranking context and scratch, scan the roots, then materialize,
+    /// dedup, score and sort. `stop` decides only what a cancel returns
+    /// and how far the scan goes.
+    fn search(
+        &self,
+        project: &Project,
+        strategy: Strategy,
+        k: usize,
+        scratch: Option<&mut QueryScratch>,
+        cancel: &CancelToken,
+        stop: Stop,
+    ) -> Result<PartialResult, DiscoveryError> {
         strategy.validate()?;
         if project.is_empty() {
             return Err(DiscoveryError::EmptyProject);
@@ -865,63 +780,35 @@ impl Discovery {
             }
         }
         let total_roots = self.graph.num_nodes();
+        let mut result = PartialResult {
+            teams: Vec::new(),
+            roots_scanned: 0,
+            total_roots,
+            exhausted: true,
+        };
         if k == 0 {
-            return Ok(PartialResult {
-                teams: Vec::new(),
-                roots_scanned: 0,
-                total_roots,
-                exhausted: true,
-            });
+            return Ok(result);
         }
         if cancel.is_cancelled() {
-            return Ok(PartialResult {
-                teams: Vec::new(),
-                roots_scanned: 0,
-                total_roots,
-                exhausted: false,
-            });
+            stop.on_cancel()?;
+            result.exhausted = false;
+            return Ok(result);
         }
 
         let ctx = self.context_for(strategy.gamma());
         let limit = k.saturating_mul(self.options.oversample.max(1)).max(k);
         let key = strategy.gamma().map(f64::to_bits).unwrap_or(u64::MAX);
-        let mut owned;
-        let scatter = match scratch {
-            Some(s) => s.scatter_for(key, &ctx.pll),
-            None => {
-                owned = ctx.pll.scatter();
-                &mut owned
-            }
-        };
+        let scatter = scratch.map(|s| s.scatter_for(key, &ctx.pll));
+        let (ranked, scanned) =
+            self.scan_roots(strategy, &ctx.pll, project, limit, cancel, scatter, stop)?;
+        result.roots_scanned = scanned;
+        result.exhausted = scanned == total_roots;
 
-        // Sequential scan over the first `budget` roots, polling the
-        // token once per root — on cancel we KEEP the candidates gathered
-        // so far instead of erroring out.
-        let budget = root_budget.unwrap_or(total_roots).min(total_roots);
-        let mut ranked_heap = BoundedTopK::new(limit);
-        let mut roots_scanned = 0usize;
-        for i in 0..budget {
-            if cancel.is_cancelled() {
-                break;
-            }
-            let root = NodeId::from_index(i);
-            if let Some((cost, cand)) =
-                self.evaluate_root(strategy, &ctx.pll, scatter, project, root)
-            {
-                ranked_heap.offer(cost, cand);
-            }
-            roots_scanned += 1;
-        }
-        let mut exhausted = roots_scanned == total_roots;
-        let ranked = ranked_heap.into_sorted();
-
-        // Materialization polls once per candidate; on cancel the teams
-        // already materialized are the answer.
-        let mut out: Vec<ScoredTeam> = Vec::with_capacity(ranked.len());
-        let mut seen: std::collections::HashSet<Vec<NodeId>> = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for (cost, cand) in ranked {
             if cancel.is_cancelled() {
-                exhausted = false;
+                stop.on_cancel()?;
+                result.exhausted = false;
                 break;
             }
             let Some(team) = self.materialize(&ctx.graph, &cand) else {
@@ -932,31 +819,26 @@ impl Discovery {
             }
             let score = score_team(&self.norm, &team, self.options.duplicate_policy);
             let objective = strategy.objective(&score);
-            out.push(ScoredTeam {
+            result.teams.push(ScoredTeam {
                 team,
                 score,
                 objective,
                 algorithm_cost: cost,
             });
         }
-        if out.is_empty() && exhausted {
-            // A *complete* search that found nothing is the same
-            // NoTeamFound as top_k; an early-stopped empty answer stays
-            // Ok so the caller sees how little was scanned.
+        if result.teams.is_empty() && result.exhausted {
+            // A *complete* search that found nothing is NoTeamFound; an
+            // early-stopped empty answer stays Ok so the caller sees how
+            // little was scanned.
             return Err(DiscoveryError::NoTeamFound);
         }
-        out.sort_by(|a, b| {
+        result.teams.sort_by(|a, b| {
             a.objective
                 .total_cmp(&b.objective)
                 .then(a.algorithm_cost.total_cmp(&b.algorithm_cost))
         });
-        out.truncate(k);
-        Ok(PartialResult {
-            teams: out,
-            roots_scanned,
-            total_roots,
-            exhausted,
-        })
+        result.teams.truncate(k);
+        Ok(result)
     }
 
     /// Convenience: the single best team.
@@ -1200,41 +1082,62 @@ mod tests {
         assert!(d.top_k(&project, Strategy::Cc, 0).unwrap().is_empty());
     }
 
+    /// A 300-node path — long enough for the parallel scan — whose one
+    /// skill is held by nodes 1–10. Every holder costs 0 as a root, so
+    /// ten roots tie, more than `k · oversample` for `k = 2`.
+    fn tied_path() -> (ExpertGraph, SkillIndex, Project) {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..300).map(|i| b.add_node(1.0 + (i % 7) as f64)).collect();
+        for pair in nodes.windows(2) {
+            b.add_edge(pair[0], pair[1], 1.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut sb = SkillIndexBuilder::new();
+        let s = sb.intern("tied");
+        for &v in &nodes[1..=10] {
+            sb.grant(v, s);
+        }
+        let idx = sb.build(g.num_nodes());
+        (g, idx, Project::new(vec![s]))
+    }
+
     #[test]
     fn parallel_and_sequential_scans_agree() {
         let (g, idx, sn, tm) = figure1();
-        let project = Project::new(vec![sn, tm]);
-        let seq = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let par = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for strategy in [
-            Strategy::Cc,
-            Strategy::SaCaCc {
-                gamma: 0.6,
-                lambda: 0.4,
-            },
-        ] {
-            let a = seq.top_k(&project, strategy, 3).unwrap();
-            let b = par.top_k(&project, strategy, 3).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.team.member_key(), y.team.member_key());
-                assert!((x.objective - y.objective).abs() < 1e-12);
+        let inputs = [(g, idx, Project::new(vec![sn, tm])), tied_path()];
+        for (g, idx, project) in inputs {
+            let engines: Vec<Discovery> = (1..=4)
+                .map(|threads| {
+                    let options = DiscoveryOptions {
+                        threads: Some(threads),
+                        ..Default::default()
+                    };
+                    Discovery::with_options(g.clone(), idx.clone(), options).unwrap()
+                })
+                .collect();
+            for strategy in [
+                Strategy::Cc,
+                Strategy::CaCc { gamma: 0.6 },
+                Strategy::SaCaCc {
+                    gamma: 0.6,
+                    lambda: 0.4,
+                },
+            ] {
+                let want = engines[0].top_k(&project, strategy, 2).unwrap();
+                for (threads, engine) in (1..).zip(&engines).skip(1) {
+                    let got = engine.top_k(&project, strategy, 2).unwrap();
+                    let context = format!("{strategy} on {threads} threads");
+                    assert_eq!(got.len(), want.len(), "{context}");
+                    for (x, y) in got.iter().zip(&want) {
+                        assert_eq!(x.team.member_key(), y.team.member_key(), "{context}");
+                        assert_eq!(x.objective.to_bits(), y.objective.to_bits(), "{context}");
+                        assert_eq!(
+                            x.algorithm_cost.to_bits(),
+                            y.algorithm_cost.to_bits(),
+                            "{context}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1376,7 +1279,6 @@ mod tests {
             threads: Some(1),
             pll_index_path: Some(path.clone()),
             pll_load_only: load_only,
-            pll_retry: RetryPolicy::none(),
             ..Default::default()
         };
         let _csr = Discovery::with_options(g.clone(), idx.clone(), mk(false)).unwrap();
@@ -1397,55 +1299,6 @@ mod tests {
         }
         let again = Discovery::with_options(g, idx, mk(true)).unwrap();
         assert!(again.pll_index_loaded(), "re-saved index must load");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gamma_sidecar_index_persists_and_reloads() {
-        let dir = std::env::temp_dir().join(format!(
-            "atd_gamma_sidecar_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.atdl");
-        let (g, idx, sn, tm) = figure1();
-        let project = Project::new(vec![sn, tm]);
-        let opts = || DiscoveryOptions {
-            threads: Some(1),
-            pll_index_path: Some(path.clone()),
-            ..Default::default()
-        };
-        let gamma = 0.6;
-        let first = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
-        let sidecar = first.gamma_index_path(gamma).unwrap();
-        assert!(!sidecar.exists(), "sidecar appears only once γ is touched");
-        let a = first.top_k(&project, Strategy::CaCc { gamma }, 3).unwrap();
-        assert!(!first.gamma_index_loaded(gamma), "first touch builds");
-        assert!(sidecar.exists(), "γ build must save its sidecar");
-        let second = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
-        let b = second.top_k(&project, Strategy::CaCc { gamma }, 3).unwrap();
-        assert!(second.gamma_index_loaded(gamma), "sidecar must load");
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.team.member_key(), y.team.member_key());
-            assert_eq!(x.objective.to_bits(), y.objective.to_bits());
-            assert_eq!(x.algorithm_cost.to_bits(), y.algorithm_cost.to_bits());
-        }
-        // Distinct γ values map to distinct sidecar files, and an engine
-        // without an index path has no sidecar at all.
-        assert_ne!(second.gamma_index_path(0.25), second.gamma_index_path(0.6));
-        let (g3, idx3, _, _) = figure1();
-        let unpersisted = Discovery::with_options(
-            g3,
-            idx3,
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(unpersisted.gamma_index_path(gamma).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1525,7 +1378,6 @@ mod tests {
             idx,
             DiscoveryOptions {
                 threads: Some(1),
-                pll_retry: RetryPolicy::none(),
                 pll_index_path: Some(PathBuf::from("/nonexistent-dir-for-atd-test/index.atdl")),
                 ..Default::default()
             },
@@ -1554,7 +1406,6 @@ mod tests {
             threads: Some(1),
             pll_index_path: Some(path.clone()),
             pll_load_only: load_only,
-            pll_retry: RetryPolicy::none(),
             ..Default::default()
         };
         // No file yet: load-only must fail rather than rebuild.

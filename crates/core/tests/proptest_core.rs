@@ -1,6 +1,8 @@
 //! Cross-module properties of the team-formation layer on random expert
-//! networks: coverage, tree validity, exact-vs-greedy dominance, and
-//! objective consistency.
+//! networks: coverage, tree validity, exact-vs-greedy dominance,
+//! objective consistency, and agreement with a reference Algorithm 1.
+
+use std::collections::HashSet;
 
 use atd_core::exact::{ExactConfig, ExactTeamFinder};
 use atd_core::greedy::{Discovery, DiscoveryOptions};
@@ -9,7 +11,9 @@ use atd_core::objectives::{score_team, DuplicatePolicy, ObjectiveWeights};
 use atd_core::random::RandomTeamFinder;
 use atd_core::skills::{Project, SkillIndex, SkillIndexBuilder};
 use atd_core::strategy::Strategy as Rank;
-use atd_graph::{ExpertGraph, GraphBuilder, NodeId};
+use atd_core::team::{ScoredTeam, Team};
+use atd_core::transform::authority_transform;
+use atd_graph::{dijkstra, ExpertGraph, GraphBuilder, NodeId, SubTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,8 +78,172 @@ fn build(inst: &Instance) -> (ExpertGraph, SkillIndex, Project) {
     (g, idx, project)
 }
 
+/// A tradeoff in `[0, 1]` that is exactly 0 or exactly 1 half the time.
+fn tradeoff() -> impl Strategy<Value = f64> {
+    (0u8..4, 0.0f64..1.0).prop_map(|(edge, x)| match edge {
+        0 => 0.0,
+        1 => 1.0,
+        _ => x,
+    })
+}
+
+/// Candidates materialized per requested team
+/// (`DiscoveryOptions::oversample`'s default).
+const OVERSAMPLE: usize = 4;
+
+/// Two costs equal up to float summation order: within 1e-12 of the
+/// larger magnitude, and never finer than 1e-12 absolute (an adjusted
+/// cost near 0 is a difference of terms near 1).
+fn near(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// Algorithm 1 (arXiv 1611.02992, §3.2) written from the paper with no
+/// PLL and no scatter. For every root and required skill it runs plain
+/// Dijkstra on the ranking graph (`w̄` for CC, `G'` for CA-CC and
+/// SA-CA-CC), applies the strategy's DIST adjustment and takes the
+/// cheapest holder, the lower id on ties; a root holding the skill takes
+/// it at DIST 0. It keeps the `k · OVERSAMPLE` cheapest roots by (cost,
+/// id), grows each team along the root's shortest-path tree, scores it
+/// on the original graph, drops repeated member sets and sorts by
+/// (objective, cost).
+///
+/// Also says whether the last kept root and the first dropped one cost
+/// the same up to [`near`].
+fn reference_top_k(
+    g: &ExpertGraph,
+    idx: &SkillIndex,
+    project: &Project,
+    strategy: Rank,
+    k: usize,
+) -> (Vec<ScoredTeam>, bool) {
+    let norm = Normalization::compute(g);
+    let ranking = match strategy.gamma() {
+        None => g.map_weights(|_, _, w| norm.w_bar(w)),
+        Some(gamma) => authority_transform(g, &norm, gamma),
+    };
+    let adjust = |d: f64, v: NodeId| match strategy {
+        Rank::Cc => d,
+        Rank::CaCc { gamma } => d - gamma * norm.a_bar(v),
+        Rank::SaCaCc { gamma, lambda } => {
+            (1.0 - lambda) * (d - gamma * norm.a_bar(v)) + lambda * norm.a_bar(v)
+        }
+    };
+    let mut roots = Vec::new();
+    'roots: for root in (0..g.num_nodes()).map(NodeId::from_index) {
+        let tree = dijkstra(&ranking, root);
+        let mut cost = 0.0;
+        let mut assignment = Vec::new();
+        for &s in project.skills() {
+            if idx.has_skill(root, s) {
+                assignment.push((s, root));
+                continue;
+            }
+            let cheapest = idx
+                .holders(s)
+                .iter()
+                .filter_map(|&v| Some((adjust(tree.distance(v)?, v), v)))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let Some((c, v)) = cheapest else {
+                continue 'roots;
+            };
+            cost += c;
+            assignment.push((s, v));
+        }
+        roots.push((cost, root, assignment, tree));
+    }
+    roots.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let limit = k * OVERSAMPLE;
+    let tie_at_cut = roots.len() > limit && near(roots[limit - 1].0, roots[limit].0);
+    roots.truncate(limit);
+
+    let mut seen = HashSet::new();
+    let mut teams = Vec::new();
+    for (cost, root, assignment, tree) in roots {
+        let holders: Vec<NodeId> = assignment.iter().map(|&(_, v)| v).collect();
+        let sub = if holders.iter().all(|&h| h == root) {
+            SubTree::singleton(root)
+        } else {
+            let paths: Vec<_> = holders.iter().map(|&h| tree.path_to(h).unwrap()).collect();
+            SubTree::from_paths(g, root, &paths).unwrap()
+        };
+        let team = Team::new(sub, assignment);
+        if !seen.insert(team.member_key()) {
+            continue;
+        }
+        let score = score_team(&norm, &team, DuplicatePolicy::default());
+        teams.push(ScoredTeam {
+            objective: strategy.objective(&score),
+            team,
+            score,
+            algorithm_cost: cost,
+        });
+    }
+    teams.sort_by(|a, b| {
+        a.objective
+            .total_cmp(&b.objective)
+            .then(a.algorithm_cost.total_cmp(&b.algorithm_cost))
+    });
+    teams.truncate(k);
+    (teams, tie_at_cut)
+}
+
+/// Member sets, objectives and algorithm costs, for failure messages.
+fn summary(teams: &[ScoredTeam]) -> Vec<(Vec<NodeId>, f64, f64)> {
+    teams
+        .iter()
+        .map(|t| (t.team.member_key(), t.objective, t.algorithm_cost))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Discovery::top_k` returns the reference Algorithm 1's teams for
+    /// every strategy, `k ∈ {1, 3}` and `(γ, λ)` including 0 and 1: the
+    /// same member sets in the same order with the same objective bits.
+    /// `algorithm_cost` may differ by [`near`], since the PLL adds hub
+    /// halves where Dijkstra adds along the path.
+    ///
+    /// Near-tie rule: where the reference's last kept root and first
+    /// dropped root cost the same up to [`near`], summation order alone
+    /// decides which makes the cut, and either answer is accepted. Each
+    /// accepted case is printed to stderr so it can be counted.
+    #[test]
+    fn top_k_matches_reference_algorithm_1(
+        inst in instance(),
+        gamma in tradeoff(),
+        lambda in tradeoff(),
+    ) {
+        let (g, idx, project) = build(&inst);
+        let engine = Discovery::with_options(
+            g.clone(),
+            idx.clone(),
+            DiscoveryOptions { threads: Some(1), ..Default::default() },
+        ).unwrap();
+        for strategy in [Rank::Cc, Rank::CaCc { gamma }, Rank::SaCaCc { gamma, lambda }] {
+            for k in [1, 3] {
+                let got = engine.top_k(&project, strategy, k).unwrap();
+                let (want, tie_at_cut) = reference_top_k(&g, &idx, &project, strategy, k);
+                let agree = got.len() == want.len()
+                    && got.iter().zip(&want).all(|(x, y)| {
+                        x.team.member_key() == y.team.member_key()
+                            && x.objective.to_bits() == y.objective.to_bits()
+                            && near(x.algorithm_cost, y.algorithm_cost)
+                    });
+                if agree {
+                    continue;
+                }
+                prop_assert!(
+                    tie_at_cut,
+                    "{strategy}, k = {k}: engine {:?} != reference {:?} on {inst:?}",
+                    summary(&got),
+                    summary(&want)
+                );
+                eprintln!("near tie at the cut accepted: {strategy}, k = {k}");
+            }
+        }
+    }
 
     /// Every strategy returns valid covering trees whose recomputed scores
     /// match an independent re-evaluation.

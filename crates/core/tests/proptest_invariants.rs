@@ -139,7 +139,9 @@ proptest! {
     }
 
     /// Merging per-thread top-k lists gives the same keys as one global
-    /// list — the parallel root scan's correctness argument.
+    /// list. Only the keys: `merge` offers in list order, so tied keys may
+    /// keep other values, which is why the parallel root scan merges by
+    /// (cost, root id) instead.
     #[test]
     fn topk_merge_is_lossless(
         keys in proptest::collection::vec(0.0f64..100.0, 0..60),

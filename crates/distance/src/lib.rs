@@ -30,10 +30,9 @@
 //! * [`persist`] — versioned on-disk persistence for a built index:
 //!   `save_to` / `load_from` with a snapshot fingerprint and hardened
 //!   untrusted-byte validation, so restart cost is `O(index bytes)`
-//!   instead of `O(graph rebuild)`. [`RetryPolicy`] wraps both sides
-//!   with bounded, capped-backoff retry of transient I/O failures for
-//!   long-lived callers (the load-or-build cold start, background
-//!   snapshot swaps).
+//!   instead of `O(graph rebuild)`. Every caller handles a failed load
+//!   or save itself (rebuild, a strict-load error, or a recorded
+//!   warning); std already retries interrupted reads and writes.
 //! * [`incremental`] — patches a built index after a distance-lowering
 //!   graph delta, bit-identical to a rebuild on the new graph.
 //!
@@ -60,7 +59,7 @@ pub use oracle::DistanceOracle;
 pub use order::{degree_descending_order, VertexOrder};
 pub use persist::{
     atomic_write, graph_fingerprint, sweep_orphaned_tmp, sweep_orphaned_tmp_dir, PersistError,
-    RetryPolicy, SnapshotFingerprint,
+    SnapshotFingerprint,
 };
 pub use pll::{BatchProfile, BuildConfig, BuildProfile, PrunedLandmarkLabeling};
 pub use scatter::SourceScatter;

@@ -57,7 +57,7 @@
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use atd_graph::ExpertGraph;
 
@@ -162,108 +162,6 @@ impl std::error::Error for PersistError {
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
-    }
-}
-
-impl PersistError {
-    /// Whether retrying the same operation could plausibly succeed.
-    ///
-    /// Only raw I/O failures are transient (a saturated disk, a
-    /// momentarily unavailable network mount, an interrupted syscall).
-    /// Every structural failure — bad magic, stale fingerprint, checksum
-    /// mismatch, corruption — is a property of the *bytes*, so retrying
-    /// the read would just decode the same bytes again.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, PersistError::Io(_))
-    }
-}
-
-/// Bounded retry with capped exponential backoff for transient
-/// persistence I/O.
-///
-/// Snapshot files are read and written by long-lived services (the
-/// load-or-build cold start, the background snapshot-swap thread in
-/// `atd-serve`), where a single `EINTR`/`EAGAIN`-class hiccup should not
-/// abort a swap or force a full index rebuild. The policy retries **only**
-/// failures where [`PersistError::is_transient`] holds; structural errors
-/// (stale, corrupt, truncated) fail immediately — re-reading corrupt
-/// bytes cannot fix them.
-///
-/// The sleep between attempts doubles from [`base_delay`] and is capped
-/// at [`max_delay`]. Tests inject a recording clock via
-/// [`RetryPolicy::run_with_sleep`], so no test ever actually sleeps.
-///
-/// [`base_delay`]: RetryPolicy::base_delay
-/// [`max_delay`]: RetryPolicy::max_delay
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (`1` = no retry).
-    pub attempts: u32,
-    /// Sleep before the first retry; doubles each further retry.
-    pub base_delay: Duration,
-    /// Upper bound on any single sleep.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts, 10 ms → 20 ms backoff (capped at 200 ms).
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries — one attempt, no sleeping.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-        }
-    }
-
-    /// The backoff slept **after** failed attempt number `attempt`
-    /// (1-based): `base_delay · 2^(attempt−1)`, capped at `max_delay`.
-    pub fn delay_after(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(20);
-        self.base_delay
-            .saturating_mul(factor)
-            .min(self.max_delay)
-            .max(self.base_delay.min(self.max_delay))
-    }
-
-    /// Runs `op` under this policy, sleeping with [`std::thread::sleep`]
-    /// between attempts. `op` receives the 1-based attempt number.
-    pub fn run<T>(
-        &self,
-        op: impl FnMut(u32) -> Result<T, PersistError>,
-    ) -> Result<T, PersistError> {
-        self.run_with_sleep(op, std::thread::sleep)
-    }
-
-    /// [`RetryPolicy::run`] with an injectable clock: `sleep` is called
-    /// with each backoff delay, letting tests record the schedule
-    /// instead of waiting it out.
-    pub fn run_with_sleep<T>(
-        &self,
-        mut op: impl FnMut(u32) -> Result<T, PersistError>,
-        mut sleep: impl FnMut(Duration),
-    ) -> Result<T, PersistError> {
-        let attempts = self.attempts.max(1);
-        for attempt in 1..=attempts {
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempt < attempts => {
-                    sleep(self.delay_after(attempt));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        unreachable!("loop returns on the final attempt")
     }
 }
 
@@ -963,32 +861,6 @@ impl PrunedLandmarkLabeling {
             start.elapsed(),
         ))
     }
-
-    /// [`PrunedLandmarkLabeling::save_to`] under a [`RetryPolicy`]:
-    /// transient I/O failures are retried with capped backoff;
-    /// structural failures cannot occur on save.
-    pub fn save_to_with_retry(
-        &self,
-        path: &Path,
-        graph: &ExpertGraph,
-        retry: &RetryPolicy,
-    ) -> Result<(), PersistError> {
-        retry.run(|_| self.save_to(path, graph))
-    }
-
-    /// [`PrunedLandmarkLabeling::load_from`] under a [`RetryPolicy`]:
-    /// transient I/O failures are retried with capped backoff; a stale,
-    /// corrupt, or truncated file fails immediately (re-reading cannot
-    /// fix bytes). This is the load half used by both the
-    /// `DiscoveryOptions::pll_index_path` cold start and the background
-    /// snapshot-swap thread in `atd-serve`.
-    pub fn load_from_with_retry(
-        path: &Path,
-        graph: &ExpertGraph,
-        retry: &RetryPolicy,
-    ) -> Result<PrunedLandmarkLabeling, PersistError> {
-        retry.run(|_| PrunedLandmarkLabeling::load_from(path, graph))
-    }
 }
 
 #[cfg(test)]
@@ -1092,142 +964,5 @@ mod tests {
             let loaded = LabelSet::from_bytes(&bytes, store.num_nodes(), 0).expect("roundtrip");
             assert_eq!(loaded.stats(), store.stats());
         }
-    }
-
-    fn io_err() -> PersistError {
-        PersistError::Io(std::io::Error::other("disk hiccup"))
-    }
-
-    #[test]
-    fn only_io_errors_are_transient() {
-        assert!(io_err().is_transient());
-        for e in [
-            PersistError::BadMagic,
-            PersistError::UnsupportedVersion(9),
-            PersistError::BadStorageTag(7),
-            PersistError::ChecksumMismatch,
-            PersistError::Truncated,
-            PersistError::Corrupt("x"),
-        ] {
-            assert!(!e.is_transient(), "{e}");
-        }
-    }
-
-    #[test]
-    fn retry_recovers_from_transient_failures_with_backoff() {
-        let policy = RetryPolicy {
-            attempts: 4,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(25),
-        };
-        let mut slept = Vec::new();
-        let result = policy.run_with_sleep(
-            |attempt| {
-                if attempt < 3 {
-                    Err(io_err())
-                } else {
-                    Ok(attempt)
-                }
-            },
-            |d| slept.push(d),
-        );
-        assert_eq!(result.unwrap(), 3, "third attempt succeeds");
-        // Exponential, capped: 10 ms, then 20 ms (2^1·10), cap 25 never hit.
-        assert_eq!(
-            slept,
-            vec![Duration::from_millis(10), Duration::from_millis(20)]
-        );
-    }
-
-    #[test]
-    fn retry_caps_backoff_and_gives_up_after_attempts() {
-        let policy = RetryPolicy {
-            attempts: 5,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(15),
-        };
-        let mut slept = Vec::new();
-        let mut calls = 0u32;
-        let result: Result<(), _> = policy.run_with_sleep(
-            |_| {
-                calls += 1;
-                Err(io_err())
-            },
-            |d| slept.push(d),
-        );
-        assert!(result.is_err());
-        assert_eq!(calls, 5, "every attempt consumed");
-        assert_eq!(slept.len(), 4, "no sleep after the final failure");
-        // 10, then capped at 15 forever.
-        assert_eq!(slept[0], Duration::from_millis(10));
-        for &d in &slept[1..] {
-            assert_eq!(d, Duration::from_millis(15));
-        }
-    }
-
-    #[test]
-    fn retry_does_not_retry_structural_errors() {
-        let mut calls = 0u32;
-        let result: Result<(), _> = RetryPolicy::default().run_with_sleep(
-            |_| {
-                calls += 1;
-                Err(PersistError::ChecksumMismatch)
-            },
-            |_| panic!("structural errors must not sleep"),
-        );
-        assert!(matches!(result, Err(PersistError::ChecksumMismatch)));
-        assert_eq!(calls, 1, "corrupt bytes are not retried");
-    }
-
-    #[test]
-    fn retry_none_is_a_single_attempt() {
-        let mut calls = 0u32;
-        let result: Result<(), _> = RetryPolicy::none().run_with_sleep(
-            |_| {
-                calls += 1;
-                Err(io_err())
-            },
-            |_| panic!("no sleeping"),
-        );
-        assert!(result.is_err());
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn load_with_retry_survives_missing_then_present_file() {
-        // End-to-end: the file "appears" between attempts (as when a
-        // concurrent save's rename lands), and the retried load succeeds.
-        use atd_graph::GraphBuilder;
-        let mut b = GraphBuilder::new();
-        let u = b.add_node(1.0);
-        let v = b.add_node(2.0);
-        b.add_edge(u, v, 0.5).unwrap();
-        let g = b.build().unwrap();
-        let store = LabelSet::from_lists(&[vec![e(0, 0.0)], vec![e(0, 0.5)]]);
-        let dir = std::env::temp_dir().join(format!("atd_retry_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("late.atdl");
-        let policy = RetryPolicy {
-            attempts: 3,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(1),
-        };
-        let mut sleeps = 0u32;
-        let loaded = policy
-            .run_with_sleep(
-                |_| {
-                    let r = LabelSet::load_from(&path, &g);
-                    if r.is_err() {
-                        // Save so the *next* attempt sees the file.
-                        store.save_to(&path, &g).unwrap();
-                    }
-                    r
-                },
-                |_| sleeps += 1,
-            )
-            .expect("second attempt loads");
-        assert_eq!(sleeps, 1);
-        assert_eq!(loaded.stats(), store.stats());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -212,6 +212,15 @@ fn checkpointed_generation_restarts_off_its_persisted_index() {
         &common::projects(&net, 6),
         "checkpoint restart",
     );
+    // The CA-CC and SA-CA-CC answers above built their γ indexes in
+    // memory: the store holds its own files and nothing else.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let store_file = name == "MANIFEST.atdm"
+            || (name.starts_with("gen-") && (name.ends_with(".graph") || name.ends_with(".atdl")))
+            || (name.starts_with("wal-") && name.ends_with(".atdw"));
+        assert!(store_file, "{name} does not belong in the generation store");
+    }
     service.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

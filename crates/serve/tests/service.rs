@@ -9,7 +9,6 @@ use std::time::Duration;
 
 use atd_core::greedy::DiscoveryOptions;
 use atd_core::DiscoveryError;
-use atd_distance::RetryPolicy;
 use atd_serve::{QueryService, Request, ServeConfig, ServeError};
 
 #[test]
@@ -215,7 +214,6 @@ fn corrupt_snapshot_file_fails_the_swap_and_old_snapshot_keeps_serving() {
                 threads: Some(1),
                 pll_index_path: Some(path.clone()),
                 pll_load_only: true,
-                pll_retry: RetryPolicy::none(),
                 ..Default::default()
             },
         )

@@ -16,7 +16,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use atd_core::greedy::{Discovery, DiscoveryOptions};
-use atd_distance::RetryPolicy;
 use atd_serve::{faultpoint, Fault, FaultPlan, QueryService, Request, ServeConfig, ServeError};
 
 const CLIENTS: usize = 5;
@@ -230,7 +229,6 @@ fn swaps_panics_slow_queries_and_corrupt_loads_never_break_identity() {
                         threads: Some(1),
                         pll_index_path: Some(snapshot_path.clone()),
                         pll_load_only: true,
-                        pll_retry: RetryPolicy::none(),
                         ..Default::default()
                     },
                 )

@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the durability path.
+//! Deterministic fault injection for the durability path and the
+//! service above it.
 //!
 //! The store's crash-safety claims (no acknowledged mutation lost, a
 //! checkpoint is atomic at the manifest rename, corrupt generations are
@@ -10,10 +11,11 @@
 //! Without the feature every hook is an empty `#[inline]` function and
 //! the registry does not exist, so production builds pay nothing.
 //!
-//! The registry is intentionally a sibling of `atd-serve`'s (the store
-//! cannot depend on the serving layer): the serve-side
-//! `serve.wal_append` point guards the publish path *before* it reaches
-//! the journal, while these points sit inside the journal itself.
+//! This is the workspace's one registry. It lives here because the store
+//! cannot depend on the serving layer; `atd-serve` re-exports this
+//! module as `atd_serve::faultpoint` and plants its `serve.*` points in
+//! the same registry, so one `reset()` (under the feature) clears the
+//! points of both crates.
 //!
 //! Faultpoints in this crate:
 //!
@@ -164,4 +166,44 @@ pub fn hit_io(point: &'static str) -> std::io::Result<()> {
     }
     let _ = point;
     Ok(())
+}
+
+#[cfg(all(test, feature = "fault-injection"))]
+mod tests {
+    use super::*;
+
+    // One test exercises all plan mechanics: the registry is process-global,
+    // so independent #[test]s would race each other's arm/reset.
+    #[test]
+    fn plans_skip_fire_and_self_disarm() {
+        reset();
+        // skip=2, times=1: two clean passages, one error, then clean.
+        arm("t.io", FaultPlan::after(Fault::IoError("disk gone"), 2));
+        assert!(hit_io("t.io").is_ok());
+        assert!(hit_io("t.io").is_ok());
+        let err = hit_io("t.io").unwrap_err();
+        assert!(err.to_string().contains("disk gone"));
+        assert!(hit_io("t.io").is_ok(), "plan self-disarmed");
+
+        // Panic plan fires with the point name in the payload.
+        arm("t.panic", FaultPlan::next(Fault::Panic("boom"), 1));
+        let caught = std::panic::catch_unwind(|| hit("t.panic")).unwrap_err();
+        let msg = caught.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("t.panic") && msg.contains("boom"));
+        hit("t.panic"); // disarmed again
+
+        // Delay plan sleeps and continues.
+        arm(
+            "t.delay",
+            FaultPlan::next(Fault::Delay(Duration::from_millis(30)), 1),
+        );
+        let t0 = std::time::Instant::now();
+        hit("t.delay");
+        assert!(t0.elapsed() >= Duration::from_millis(25));
+
+        // Unarmed points are free; disarm is idempotent.
+        hit("t.never");
+        disarm("t.never");
+        reset();
+    }
 }
