@@ -515,7 +515,7 @@ impl Search<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{Discovery, DiscoveryOptions};
+    use crate::greedy::Discovery;
     use crate::skills::SkillIndexBuilder;
     use atd_graph::GraphBuilder;
 
@@ -573,15 +573,7 @@ mod tests {
         let (gamma, lambda) = (0.6, 0.6);
         let cfg = ExactConfig::new(ObjectiveWeights::new(gamma, lambda).unwrap());
         let exact = ExactTeamFinder::new(&g, &idx, cfg).best(&p).unwrap();
-        let engine = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let engine = Discovery::new(g, idx).unwrap();
         let greedy = engine.best(&p, Strategy::SaCaCc { gamma, lambda }).unwrap();
         assert!(
             exact.objective <= greedy.objective + 1e-9,

@@ -10,11 +10,12 @@
 //! answered by a 2-hop-cover (pruned landmark labeling) oracle, making each
 //! query near-constant and the whole scan `O(N · t · |Cmax|)`.
 //!
-//! The scan is batched per root: each worker owns a reusable
-//! [`SourceScatter`] scratch, scatters the root's label once, and answers
-//! all `t · |C(si)|` holder lookups as one-to-many scans over the flat CSR
-//! label store — the root-side label walk is paid once per root instead of
-//! once per holder query.
+//! The scan is batched per root: one reusable [`SourceScatter`] scratch
+//! takes the root's label once and answers all `t · |C(si)|` holder
+//! lookups as one-to-many scans over the flat CSR label store — the
+//! root-side label walk is paid once per root instead of once per holder
+//! query. The scan, like the index build, runs on the caller's thread;
+//! a service answers independent queries side by side on its workers.
 //!
 //! ## One algorithm, three objectives
 //!
@@ -49,7 +50,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use atd_distance::{
-    BuildConfig as PllBuildConfig, BuildProfile, IncrementalError, IncrementalReport, LabelStats,
+    BuildConfig as PllBuildConfig, IncrementalError, IncrementalReport, LabelStats,
     PrunedLandmarkLabeling, SourceScatter, VertexOrder,
 };
 use atd_graph::{dijkstra_with_targets, ExpertGraph, NodeId, SubTree};
@@ -71,7 +72,8 @@ pub struct DiscoveryOptions {
     pub min_authority: f64,
     /// How `SA` counts an expert covering several skills.
     pub duplicate_policy: DuplicatePolicy,
-    /// Worker threads for the root scan (`None` = available parallelism).
+    /// No effect: a query runs on the caller's thread whatever this
+    /// says. Kept so callers that set it still compile.
     pub threads: Option<usize>,
     /// How many extra candidates (multiples of `k`) to materialize before
     /// deduplication; ≥ 1.
@@ -82,11 +84,8 @@ pub struct DiscoveryOptions {
     /// Algorithm 1; off by default for faithfulness — see the ablation
     /// bench).
     pub prune_dangling_connectors: bool,
-    /// PLL index construction settings: worker threads + rank-batch size
-    /// for the batch-synchronous parallel builder, and the hub budget of
-    /// incremental refreshes. The produced labels are bit-identical for
-    /// every thread count and batch size, so these only tune cold-start
-    /// and refresh time.
+    /// PLL index settings: the hub budget of incremental refreshes
+    /// ([`Discovery::try_incremental`]). No setting changes the labels.
     pub pll_build: PllBuildConfig,
     /// Load-or-build persistence for the base (CC) PLL index. When set,
     /// engine construction first tries to load the index from this path;
@@ -138,8 +137,8 @@ struct RankingContext {
 }
 
 impl RankingContext {
-    fn build(graph: ExpertGraph, config: &PllBuildConfig) -> Self {
-        let pll = PrunedLandmarkLabeling::build_with_config(&graph, VertexOrder::default(), config);
+    fn build(graph: ExpertGraph) -> Self {
+        let pll = PrunedLandmarkLabeling::build_with_order(&graph, VertexOrder::default());
         RankingContext {
             graph,
             pll,
@@ -186,7 +185,7 @@ impl RankingContext {
             }
             Err(_) => {}
         }
-        let ctx = RankingContext::build(graph, &options.pll_build);
+        let ctx = RankingContext::build(graph);
         let warning = ctx.pll.save_to(path, &ctx.graph).err().map(|e| {
             format!(
                 "index save to {} failed: {e}; serving from the in-memory \
@@ -211,10 +210,10 @@ struct Candidate {
 #[derive(Clone, Copy, Debug)]
 enum Stop {
     /// A cancel returns [`DiscoveryError::Cancelled`]; the scan covers
-    /// every root on `DiscoveryOptions::threads` workers.
+    /// every root.
     FailFast,
-    /// A cancel returns the best answer so far; the scan covers the first
-    /// `budget` roots (all of them when `None`) on the caller's thread.
+    /// A cancel returns the best answer so far, once it holds a team;
+    /// the scan covers the first `budget` roots (all of them when `None`).
     Anytime { budget: Option<usize> },
 }
 
@@ -239,18 +238,20 @@ impl Stop {
 /// undone.
 ///
 /// **Determinism contract:** a result with `exhausted == true` is
-/// bit-identical to [`Discovery::top_k`] on the same engine, whatever its
-/// thread count: both run the same search, and a parallel scan keeps the
-/// candidates the sequential one keeps. Two runs with the same explicit root
-/// budget produce bit-identical partials. Two runs stopped by a
+/// bit-identical to [`Discovery::top_k`] on the same engine: both run the
+/// same search. Two runs with the same explicit root budget produce
+/// bit-identical partials. Two runs stopped by a
 /// *wall-clock* deadline are **not** reproducible — the poll that trips
 /// depends on timing — which is why degraded serving responses carry
 /// their `roots_scanned` bound instead of pretending to be canonical.
 #[derive(Debug, Clone)]
 pub struct PartialResult {
     /// The best teams found so far, sorted by exact objective exactly as
-    /// [`Discovery::top_k`] sorts a complete answer. May be empty when
-    /// the search stopped before materializing anything.
+    /// [`Discovery::top_k`] sorts a complete answer. A cancel stops the
+    /// search only once it holds a team, so this is empty only when the
+    /// search stopped on entry or no scanned root reaches every skill.
+    /// The overrun past the cancel is the materializations the first
+    /// team needs: one Dijkstra each, ~70 µs on the 2270-node testbed.
     pub teams: Vec<ScoredTeam>,
     /// Candidate roots evaluated before the search stopped.
     pub roots_scanned: usize,
@@ -271,9 +272,8 @@ impl PartialResult {
 }
 
 /// Reusable per-caller query scratch for
-/// [`Discovery::top_k_with`] — the per-worker-scratch pattern of the
-/// parallel root scan, promoted to an API so a long-lived serving
-/// worker pays the scatter allocation once instead of once per request.
+/// [`Discovery::top_k_with`], so a long-lived serving worker pays the
+/// scatter allocation once instead of once per request.
 ///
 /// Holds one [`SourceScatter`] per ranking context (the base CC index,
 /// plus one per `γ` a query has touched). A scratch is bound to nothing:
@@ -350,7 +350,7 @@ impl Discovery {
         let base_graph = graph.map_weights(|_, _, w| norm.w_bar(w));
         let (base, persist_warning) = match options.pll_index_path.as_deref() {
             Some(path) => RankingContext::load_or_build(base_graph, &options, path)?,
-            None => (RankingContext::build(base_graph, &options.pll_build), None),
+            None => (RankingContext::build(base_graph), None),
         };
         Ok(Discovery {
             graph: Arc::new(graph),
@@ -441,12 +441,6 @@ impl Discovery {
         self.options.duplicate_policy
     }
 
-    /// Construction profile of the base (CC) distance index — how the
-    /// cold-start cost split across batch searches, merges and repairs.
-    pub fn pll_profile(&self) -> &BuildProfile {
-        self.base.pll.build_profile()
-    }
-
     /// Label statistics of the base (CC) distance index, including the
     /// byte footprint of its label planes.
     pub fn pll_stats(&self) -> LabelStats {
@@ -500,7 +494,7 @@ impl Discovery {
                     return Arc::clone(ctx);
                 }
                 let gp = authority_transform(&self.graph, &self.norm, g);
-                let ctx = Arc::new(RankingContext::build(gp, &self.options.pll_build));
+                let ctx = Arc::new(RankingContext::build(gp));
                 self.transformed.write().insert(key, Arc::clone(&ctx));
                 ctx
             }
@@ -570,17 +564,12 @@ impl Discovery {
         Some((cost, Candidate { root, assignment }))
     }
 
-    /// Scans the roots for the best `limit` candidates by algorithm cost,
-    /// ties broken by root id, and returns them ascending together with
-    /// the number of roots scanned.
-    ///
-    /// One per-root loop serves every path: it runs once on the caller's
-    /// thread (with the caller's `scatter` when given, see
-    /// [`QueryScratch`]), or once per worker over a stride of the roots
-    /// with a scatter of its own. Worker lists are merged in (cost, root
-    /// id) order, so every thread count returns the sequential answer.
-    /// `cancel` is polled once per root; `stop` decides what a cancel
-    /// returns and how far the scan goes.
+    /// Scans the roots in ascending id order for the best `limit`
+    /// candidates by algorithm cost, ties broken by root id (the lower id
+    /// is offered first and `BoundedTopK` keeps it), and returns them
+    /// ascending together with the number of roots scanned. `cancel` is
+    /// polled once per root; `stop` decides what a cancel returns and how
+    /// far the scan goes.
     #[allow(clippy::too_many_arguments)]
     fn scan_roots(
         &self,
@@ -589,68 +578,28 @@ impl Discovery {
         project: &Project,
         limit: usize,
         cancel: &CancelToken,
-        scatter: Option<&mut SourceScatter>,
+        scatter: &mut SourceScatter,
         stop: Stop,
     ) -> Result<(Vec<(f64, Candidate)>, usize), DiscoveryError> {
         let n = self.graph.num_nodes();
-        let (threads, end) = match stop {
-            Stop::FailFast => {
-                let threads = self.options.threads.unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                });
-                (threads.clamp(1, n.max(1)), n)
-            }
-            Stop::Anytime { budget } => (1, budget.unwrap_or(n).min(n)),
+        let end = match stop {
+            Stop::FailFast => n,
+            Stop::Anytime { budget } => budget.unwrap_or(n).min(n),
         };
-        // Roots `start, start + step, …` below `end`. They are offered in
-        // ascending id order, so `BoundedTopK` keeps the lower id of tied
-        // costs.
-        let scan = |scatter: &mut SourceScatter, start: usize, step: usize| {
-            let mut best = BoundedTopK::new(limit);
-            let mut scanned = 0;
-            for i in (start..end).step_by(step) {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                let root = NodeId::from_index(i);
-                if let Some((cost, cand)) =
-                    self.evaluate_root(strategy, pll, scatter, project, root)
-                {
-                    best.offer(cost, cand);
-                }
-                scanned += 1;
+        let mut best = BoundedTopK::new(limit);
+        let mut scanned = 0;
+        for i in 0..end {
+            if cancel.is_cancelled() {
+                stop.on_cancel()?;
+                break;
             }
-            (best.into_sorted(), scanned)
-        };
-        let (ranked, scanned) = if threads <= 1 || n < 256 {
-            match scatter {
-                Some(scatter) => scan(scatter, 0, 1),
-                None => scan(&mut pll.scatter(), 0, 1),
+            let root = NodeId::from_index(i);
+            if let Some((cost, cand)) = self.evaluate_root(strategy, pll, scatter, project, root) {
+                best.offer(cost, cand);
             }
-        } else {
-            // A strided partition keeps per-thread work balanced even when
-            // expensive roots cluster by id.
-            let lists: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| scope.spawn(move || scan(&mut pll.scatter(), t, threads)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("root-scan worker panicked"))
-                    .collect()
-            });
-            let scanned = lists.iter().map(|(_, scanned)| scanned).sum();
-            let mut ranked: Vec<_> = lists.into_iter().flat_map(|(list, _)| list).collect();
-            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.root.cmp(&b.1.root)));
-            ranked.truncate(limit);
-            (ranked, scanned)
-        };
-        if scanned < end {
-            stop.on_cancel()?;
+            scanned += 1;
         }
-        Ok((ranked, scanned))
+        Ok((best.into_sorted(), scanned))
     }
 
     /// Materializes a candidate into a concrete team: one Dijkstra on the
@@ -694,7 +643,7 @@ impl Discovery {
 
     /// [`top_k`](Discovery::top_k) with the hooks a serving layer needs:
     /// a reusable per-caller [`QueryScratch`] (avoids the `O(n)` scatter
-    /// allocation per query on the sequential path) and a [`CancelToken`]
+    /// allocation per query) and a [`CancelToken`]
     /// polled once on entry, once per scanned root and once per
     /// materialized candidate.
     ///
@@ -719,24 +668,24 @@ impl Discovery {
     /// expiry (or an explicit cancel) returns the **best answer found so
     /// far** instead of [`DiscoveryError::Cancelled`].
     ///
-    /// The scan runs on the caller's thread in ascending root order —
-    /// whatever `DiscoveryOptions::threads` says — so `roots_scanned` is
-    /// an exact prefix and a fixed `root_budget` yields bit-identical
+    /// The scan runs in ascending root order, so `roots_scanned` is an
+    /// exact prefix and a fixed `root_budget` yields bit-identical
     /// partials across runs. `root_budget` caps the scan to the first `n`
     /// roots (a serving layer's brownout knob); `None` scans everything
     /// the token allows. The token is polled at the same points as in
-    /// [`top_k_with`](Discovery::top_k_with).
+    /// [`top_k_with`](Discovery::top_k_with). A cancel ends the scan, but
+    /// materialization goes on in rank order until one team is in hand
+    /// (see [`PartialResult::teams`]).
     ///
     /// Outcomes:
     ///
     /// * ran to completion → `exhausted == true`, bit-identical to
-    ///   [`top_k`](Discovery::top_k) on the same engine, whatever its
-    ///   thread count;
-    /// * stopped early with teams in hand → `Ok` partial,
-    ///   `exhausted == false`;
-    /// * stopped early with nothing materialized yet → `Ok` partial with
-    ///   empty `teams` (still flagged unexhausted — the caller knows the
-    ///   search barely started);
+    ///   [`top_k`](Discovery::top_k) on the same engine;
+    /// * stopped early → `Ok` partial, `exhausted == false`, holding at
+    ///   least one team when any scanned root reaches every skill;
+    /// * stopped on entry, or before any scanned root yielded a team →
+    ///   `Ok` partial with empty `teams` (still flagged unexhausted — the
+    ///   caller knows the search barely started);
     /// * ran to completion finding nothing →
     ///   [`DiscoveryError::NoTeamFound`], exactly like `top_k`;
     /// * invalid input (empty project, uncoverable skill, bad γ/λ) →
@@ -798,7 +747,10 @@ impl Discovery {
         let ctx = self.context_for(strategy.gamma());
         let limit = k.saturating_mul(self.options.oversample.max(1)).max(k);
         let key = strategy.gamma().map(f64::to_bits).unwrap_or(u64::MAX);
-        let scatter = scratch.map(|s| s.scatter_for(key, &ctx.pll));
+        let mut own_scratch = QueryScratch::new();
+        let scatter = scratch
+            .unwrap_or(&mut own_scratch)
+            .scatter_for(key, &ctx.pll);
         let (ranked, scanned) =
             self.scan_roots(strategy, &ctx.pll, project, limit, cancel, scatter, stop)?;
         result.roots_scanned = scanned;
@@ -809,7 +761,11 @@ impl Discovery {
             if cancel.is_cancelled() {
                 stop.on_cancel()?;
                 result.exhausted = false;
-                break;
+                // An anytime answer holds a team before it stops, even
+                // when the cancel came during the scan.
+                if !result.teams.is_empty() {
+                    break;
+                }
             }
             let Some(team) = self.materialize(&ctx.graph, &cand) else {
                 continue;
@@ -903,15 +859,7 @@ mod tests {
     fn engine() -> (Discovery, Project) {
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
-        let d = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(1),
-                ..DiscoveryOptions::default()
-            },
-        )
-        .unwrap();
+        let d = Discovery::new(g, idx).unwrap();
         (d, project)
     }
 
@@ -961,11 +909,7 @@ mod tests {
     fn try_incremental_matches_full_rebuild_bitwise() {
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
-        let options = DiscoveryOptions {
-            threads: Some(1),
-            ..DiscoveryOptions::default()
-        };
-        let engine = Discovery::with_options(g.clone(), idx, options.clone()).unwrap();
+        let engine = Discovery::new(g.clone(), idx).unwrap();
 
         // A reinforce delta lowering one edge: degrees and w_max (other
         // unit edges remain) are untouched, so the incremental path must
@@ -979,7 +923,7 @@ mod tests {
         assert!(report.affected_hubs > 0);
 
         let (_, idx3, _, _) = figure1();
-        let scratch = Discovery::with_options(new_graph, idx3, options).unwrap();
+        let scratch = Discovery::new(new_graph, idx3).unwrap();
         for strategy in [
             Strategy::Cc,
             Strategy::CaCc { gamma: 0.6 },
@@ -1082,117 +1026,6 @@ mod tests {
         assert!(d.top_k(&project, Strategy::Cc, 0).unwrap().is_empty());
     }
 
-    /// A 300-node path — long enough for the parallel scan — whose one
-    /// skill is held by nodes 1–10. Every holder costs 0 as a root, so
-    /// ten roots tie, more than `k · oversample` for `k = 2`.
-    fn tied_path() -> (ExpertGraph, SkillIndex, Project) {
-        let mut b = GraphBuilder::new();
-        let nodes: Vec<NodeId> = (0..300).map(|i| b.add_node(1.0 + (i % 7) as f64)).collect();
-        for pair in nodes.windows(2) {
-            b.add_edge(pair[0], pair[1], 1.0).unwrap();
-        }
-        let g = b.build().unwrap();
-        let mut sb = SkillIndexBuilder::new();
-        let s = sb.intern("tied");
-        for &v in &nodes[1..=10] {
-            sb.grant(v, s);
-        }
-        let idx = sb.build(g.num_nodes());
-        (g, idx, Project::new(vec![s]))
-    }
-
-    #[test]
-    fn parallel_and_sequential_scans_agree() {
-        let (g, idx, sn, tm) = figure1();
-        let inputs = [(g, idx, Project::new(vec![sn, tm])), tied_path()];
-        for (g, idx, project) in inputs {
-            let engines: Vec<Discovery> = (1..=4)
-                .map(|threads| {
-                    let options = DiscoveryOptions {
-                        threads: Some(threads),
-                        ..Default::default()
-                    };
-                    Discovery::with_options(g.clone(), idx.clone(), options).unwrap()
-                })
-                .collect();
-            for strategy in [
-                Strategy::Cc,
-                Strategy::CaCc { gamma: 0.6 },
-                Strategy::SaCaCc {
-                    gamma: 0.6,
-                    lambda: 0.4,
-                },
-            ] {
-                let want = engines[0].top_k(&project, strategy, 2).unwrap();
-                for (threads, engine) in (1..).zip(&engines).skip(1) {
-                    let got = engine.top_k(&project, strategy, 2).unwrap();
-                    let context = format!("{strategy} on {threads} threads");
-                    assert_eq!(got.len(), want.len(), "{context}");
-                    for (x, y) in got.iter().zip(&want) {
-                        assert_eq!(x.team.member_key(), y.team.member_key(), "{context}");
-                        assert_eq!(x.objective.to_bits(), y.objective.to_bits(), "{context}");
-                        assert_eq!(
-                            x.algorithm_cost.to_bits(),
-                            y.algorithm_cost.to_bits(),
-                            "{context}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_index_build_yields_identical_teams() {
-        // The batch-parallel PLL build is bit-identical to the sequential
-        // one, so every downstream result must match exactly — not just
-        // approximately.
-        let (g, idx, sn, tm) = figure1();
-        let project = Project::new(vec![sn, tm]);
-        let seq = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                pll_build: PllBuildConfig::sequential(),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let par = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(1),
-                pll_build: PllBuildConfig {
-                    threads: Some(4),
-                    batch_size: 2,
-                    ..PllBuildConfig::default()
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(par.pll_profile().threads, 4);
-        assert_eq!(seq.pll_profile().threads, 1);
-        for strategy in [
-            Strategy::Cc,
-            Strategy::SaCaCc {
-                gamma: 0.6,
-                lambda: 0.6,
-            },
-        ] {
-            let a = seq.top_k(&project, strategy, 3).unwrap();
-            let b = par.top_k(&project, strategy, 3).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.team.member_key(), y.team.member_key());
-                assert_eq!(x.objective.to_bits(), y.objective.to_bits());
-                assert_eq!(x.algorithm_cost.to_bits(), y.algorithm_cost.to_bits());
-            }
-        }
-    }
-
     #[test]
     fn persisted_index_round_trip_yields_identical_teams() {
         // Build-and-save, then load-or-build again from the same path:
@@ -1209,7 +1042,6 @@ mod tests {
         let project = Project::new(vec![sn, tm]);
         let path = dir.join("index.atdl");
         let opts = || DiscoveryOptions {
-            threads: Some(1),
             pll_index_path: Some(path.clone()),
             ..Default::default()
         };
@@ -1250,7 +1082,6 @@ mod tests {
             g2,
             idx2,
             DiscoveryOptions {
-                threads: Some(1),
                 pll_index_path: Some(path.clone()),
                 ..Default::default()
             },
@@ -1276,7 +1107,6 @@ mod tests {
         let path = dir.join("index.atdl");
         let (g, idx, _, _) = figure1();
         let mk = |load_only| DiscoveryOptions {
-            threads: Some(1),
             pll_index_path: Some(path.clone()),
             pll_load_only: load_only,
             ..Default::default()
@@ -1324,7 +1154,6 @@ mod tests {
             g,
             idx,
             DiscoveryOptions {
-                threads: Some(1),
                 pll_index_path: Some(path.clone()),
                 ..Default::default()
             },
@@ -1353,7 +1182,6 @@ mod tests {
             g,
             idx,
             DiscoveryOptions {
-                threads: Some(1),
                 pll_index_path: Some(path.clone()),
                 ..Default::default()
             },
@@ -1377,7 +1205,6 @@ mod tests {
             g,
             idx,
             DiscoveryOptions {
-                threads: Some(1),
                 pll_index_path: Some(PathBuf::from("/nonexistent-dir-for-atd-test/index.atdl")),
                 ..Default::default()
             },
@@ -1403,7 +1230,6 @@ mod tests {
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
         let mk = |load_only: bool| DiscoveryOptions {
-            threads: Some(1),
             pll_index_path: Some(path.clone()),
             pll_load_only: load_only,
             ..Default::default()
@@ -1439,15 +1265,7 @@ mod tests {
     fn cancelled_token_aborts_before_and_during_search() {
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
-        let d = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let d = Discovery::new(g, idx).unwrap();
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
@@ -1481,15 +1299,7 @@ mod tests {
         // must match the scratch-free path exactly.
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
-        let d = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let d = Discovery::new(g, idx).unwrap();
         let mut scratch = QueryScratch::new();
         let never = CancelToken::never();
         for _round in 0..3 {
@@ -1557,20 +1367,11 @@ mod tests {
             gamma: 0.6,
             lambda: 0.6,
         };
-        let faithful = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let faithful = Discovery::new(g.clone(), idx.clone()).unwrap();
         let pruned = Discovery::with_options(
             g,
             idx,
             DiscoveryOptions {
-                threads: Some(1),
                 prune_dangling_connectors: true,
                 ..Default::default()
             },
@@ -1621,6 +1422,13 @@ mod tests {
                     partial.roots_scanned,
                     polls as usize - 1,
                     "tripped mid-root-scan after the entry poll"
+                );
+            }
+            if partial.roots_scanned > 0 {
+                assert!(
+                    !partial.teams.is_empty(),
+                    "a partial over {} scanned roots holds a team",
+                    partial.roots_scanned
                 );
             }
             for w in partial.teams.windows(2) {

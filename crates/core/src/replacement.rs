@@ -206,7 +206,7 @@ impl<'g> ReplacementFinder<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{Discovery, DiscoveryOptions};
+    use crate::greedy::Discovery;
     use crate::skills::{Project, SkillIndexBuilder};
     use atd_graph::GraphBuilder;
 
@@ -238,15 +238,7 @@ mod tests {
     }
 
     fn discovered_team(g: &ExpertGraph, idx: &SkillIndex) -> Team {
-        let engine = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let engine = Discovery::new(g.clone(), idx.clone()).unwrap();
         let project = Project::new(vec![idx.id_of("a").unwrap(), idx.id_of("b").unwrap()]);
         engine.best(&project, Strategy::Cc).unwrap().team
     }

@@ -2,8 +2,7 @@
 //!
 //! Algorithm 1 keeps "a list L of size k … updated after each iteration;
 //! the new team is added to L if its cost is smaller than the last team in
-//! L". This is exactly that list, generic so the per-thread root scans can
-//! keep local lists and merge them.
+//! L". This is exactly that list, generic over what it keeps.
 
 /// Keeps the `k` items with the smallest keys seen so far.
 ///
@@ -43,13 +42,6 @@ impl<T> BoundedTopK<T> {
         true
     }
 
-    /// Current worst (largest) kept key, if the list is full.
-    pub fn threshold(&self) -> Option<f64> {
-        (self.items.len() == self.capacity)
-            .then(|| self.items.last().map(|&(k, _)| k))
-            .flatten()
-    }
-
     /// Number of kept items.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -63,13 +55,6 @@ impl<T> BoundedTopK<T> {
     /// Consumes the list, returning `(key, value)` ascending by key.
     pub fn into_sorted(self) -> Vec<(f64, T)> {
         self.items
-    }
-
-    /// Merges another list into this one.
-    pub fn merge(&mut self, other: BoundedTopK<T>) {
-        for (k, v) in other.items {
-            self.offer(k, v);
-        }
     }
 }
 
@@ -94,17 +79,8 @@ mod tests {
         assert!(l.offer(2.0, ()));
         assert!(!l.offer(3.0, ()), "worse than the kept tail");
         assert!(l.offer(0.5, ()));
-        assert_eq!(l.threshold(), Some(1.0));
-    }
-
-    #[test]
-    fn threshold_only_when_full() {
-        let mut l = BoundedTopK::new(3);
-        l.offer(1.0, ());
-        assert_eq!(l.threshold(), None);
-        l.offer(2.0, ());
-        l.offer(3.0, ());
-        assert_eq!(l.threshold(), Some(3.0));
+        let keys: Vec<f64> = l.into_sorted().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![0.5, 1.0]);
     }
 
     #[test]
@@ -129,18 +105,5 @@ mod tests {
         let mut l = BoundedTopK::new(2);
         assert!(!l.offer(f64::NAN, ()));
         assert!(l.is_empty());
-    }
-
-    #[test]
-    fn merge_combines_lists() {
-        let mut a = BoundedTopK::new(2);
-        a.offer(3.0, 'a');
-        a.offer(1.0, 'b');
-        let mut b = BoundedTopK::new(2);
-        b.offer(2.0, 'c');
-        b.offer(0.5, 'd');
-        a.merge(b);
-        let got: Vec<char> = a.into_sorted().into_iter().map(|(_, v)| v).collect();
-        assert_eq!(got, vec!['d', 'b']);
     }
 }

@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 
 use atd_core::exact::{ExactConfig, ExactTeamFinder};
-use atd_core::greedy::{Discovery, DiscoveryOptions};
+use atd_core::greedy::Discovery;
 use atd_core::normalize::Normalization;
 use atd_core::objectives::{score_team, DuplicatePolicy, ObjectiveWeights};
 use atd_core::random::RandomTeamFinder;
@@ -216,11 +216,7 @@ proptest! {
         lambda in tradeoff(),
     ) {
         let (g, idx, project) = build(&inst);
-        let engine = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions { threads: Some(1), ..Default::default() },
-        ).unwrap();
+        let engine = Discovery::new(g.clone(), idx.clone()).unwrap();
         for strategy in [Rank::Cc, Rank::CaCc { gamma }, Rank::SaCaCc { gamma, lambda }] {
             for k in [1, 3] {
                 let got = engine.top_k(&project, strategy, k).unwrap();
@@ -251,11 +247,7 @@ proptest! {
     fn greedy_teams_are_valid_and_consistent(inst in instance()) {
         let (g, idx, project) = build(&inst);
         let norm = Normalization::compute(&g);
-        let engine = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions { threads: Some(1), ..Default::default() },
-        ).unwrap();
+        let engine = Discovery::new(g, idx).unwrap();
         for strategy in [
             Rank::Cc,
             Rank::CaCc { gamma: 0.6 },
@@ -299,11 +291,7 @@ proptest! {
             rnd.objective
         );
 
-        let engine = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions { threads: Some(1), ..Default::default() },
-        ).unwrap();
+        let engine = Discovery::new(g, idx).unwrap();
         let greedy = engine.best(&project, Rank::SaCaCc { gamma, lambda }).unwrap();
         prop_assert!(
             exact.objective <= greedy.objective + 1e-9,
@@ -321,11 +309,7 @@ proptest! {
     #[test]
     fn objective_driven_search_beats_cc_on_its_objective(inst in instance()) {
         let (g, idx, project) = build(&inst);
-        let engine = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions { threads: Some(1), ..Default::default() },
-        ).unwrap();
+        let engine = Discovery::new(g, idx).unwrap();
         let strategy = Rank::SaCaCc { gamma: 0.6, lambda: 0.6 };
         let ours = engine.top_k(&project, strategy, 5).unwrap();
         let cc = engine.top_k(&project, Rank::Cc, 5).unwrap();
@@ -351,11 +335,7 @@ proptest! {
     #[test]
     fn pareto_front_is_clean(inst in instance()) {
         let (g, idx, project) = build(&inst);
-        let engine = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions { threads: Some(1), ..Default::default() },
-        ).unwrap();
+        let engine = Discovery::new(g, idx).unwrap();
         let front =
             atd_core::pareto::discover_pareto(&engine, &project, &[0.3, 0.7], 3).unwrap();
         prop_assert!(!front.is_empty());

@@ -17,7 +17,7 @@
 //!
 //! 1. Affected hubs are processed in **ascending rank** off a min-heap, so
 //!    when hub `r` is re-searched every label of rank `< r` is already
-//!    final. The re-search runs the exact `run_pruned_search` loop
+//!    final. The re-search runs the exact `pruned_dijkstra` loop
 //!    against a rank-bounded view of the final labels — the same state the
 //!    sequential build sees at step `r`, hence the same emissions to the
 //!    bit.
@@ -351,7 +351,7 @@ pub fn refresh(
                 lists: &work,
                 bound: r,
             };
-            pruned_dijkstra(new_graph, hub, &view, &mut scratch, |node, _parent, d| {
+            pruned_dijkstra(new_graph, hub, &view, &mut scratch, |node, d| {
                 emitted.push((node, d));
             });
         }
@@ -522,7 +522,7 @@ mod tests {
         // The flat CSR `LabelSet` is the one label backend.
         let old = grid(5, 5);
         let new = reweighted(&old, NodeId(0), NodeId(1), 0.25);
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let pll =
             PrunedLandmarkLabeling::build_with_config(&old, VertexOrder::DegreeDescending, &config);
         let (inc, report) =
@@ -537,7 +537,7 @@ mod tests {
     #[test]
     fn metadata_only_delta_is_a_clone() {
         let g = grid(4, 4);
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let pll =
             PrunedLandmarkLabeling::build_with_config(&g, VertexOrder::DegreeDescending, &config);
         let (inc, report) = refresh(&pll, &g, &g, VertexOrder::DegreeDescending, &config).unwrap();
@@ -550,7 +550,7 @@ mod tests {
     fn node_count_change_is_rejected() {
         let old = grid(3, 3);
         let new = grid(3, 4);
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let pll =
             PrunedLandmarkLabeling::build_with_config(&old, VertexOrder::DegreeDescending, &config);
         assert_eq!(
@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn weight_increase_and_removal_are_rejected() {
         let old = grid(3, 3);
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let pll =
             PrunedLandmarkLabeling::build_with_config(&old, VertexOrder::DegreeDescending, &config);
 
@@ -601,7 +601,7 @@ mod tests {
             b.add_edge(NodeId(0), NodeId(far), 3.0).unwrap();
         }
         let new = b.build().unwrap();
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let pll =
             PrunedLandmarkLabeling::build_with_config(&old, VertexOrder::DegreeDescending, &config);
         assert_eq!(
@@ -616,7 +616,7 @@ mod tests {
         let new = reweighted(&old, NodeId(0), NodeId(1), 0.25);
         let config = BuildConfig {
             incremental_hub_budget: Some(0),
-            ..BuildConfig::sequential()
+            ..BuildConfig::default()
         };
         let pll =
             PrunedLandmarkLabeling::build_with_config(&old, VertexOrder::DegreeDescending, &config);
@@ -653,7 +653,7 @@ mod tests {
         b.add_edge(ids[0], ids[1], 0.5).unwrap();
         let new = b.build().unwrap();
 
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let pll =
             PrunedLandmarkLabeling::build_with_config(&old, VertexOrder::DegreeDescending, &config);
         match refresh(&pll, &old, &new, VertexOrder::DegreeDescending, &config) {
@@ -676,7 +676,7 @@ mod tests {
     #[test]
     fn repeated_refreshes_compose() {
         let g0 = grid(4, 5);
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let mut pll =
             PrunedLandmarkLabeling::build_with_config(&g0, VertexOrder::DegreeDescending, &config);
         let mut cur = g0;

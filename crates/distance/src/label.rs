@@ -373,178 +373,6 @@ impl LabelSetBuilder {
     }
 }
 
-/// One worker thread's journal of candidate label entries for the hubs it
-/// searched within a batch: a flat SoA arena (`nodes`, `parents`, `dists`)
-/// plus per-hub spans. Entries stay in search settle order, which is the
-/// order the batch-merge replay needs; `parents` records each candidate's
-/// search-tree predecessor so the merge can tell which candidates survive
-/// a same-batch invalidation untouched.
-#[derive(Clone, Debug, Default)]
-pub struct JournalShard {
-    /// `(batch-local hub index, arena start offset)` per searched hub;
-    /// the span ends where the next one starts (or at the arena end).
-    hub_starts: Vec<(u32, u32)>,
-    nodes: Vec<u32>,
-    parents: Vec<u32>,
-    dists: Vec<f64>,
-}
-
-impl JournalShard {
-    /// Opens a new per-hub span. Hubs must be journaled in ascending
-    /// batch-local index, and every assigned hub must call this even when
-    /// its search dies immediately (empty span).
-    pub fn begin_hub(&mut self, batch_idx: u32) {
-        debug_assert!(
-            self.hub_starts.last().is_none_or(|&(i, _)| i < batch_idx),
-            "hubs must be journaled in ascending batch order"
-        );
-        self.hub_starts.push((batch_idx, self.nodes.len() as u32));
-    }
-
-    /// Appends a candidate `(node, parent, dist)` to the currently open
-    /// hub span. `parent` is the node's predecessor in the pruned search
-    /// tree (the node itself for the hub's own zero-distance entry).
-    #[inline]
-    pub fn push(&mut self, node: u32, parent: u32, dist: f64) {
-        debug_assert!(!self.hub_starts.is_empty(), "no hub span open");
-        self.nodes.push(node);
-        self.parents.push(parent);
-        self.dists.push(dist);
-    }
-
-    /// Total candidates journaled across all spans.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when nothing has been journaled.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    fn span(&self, i: usize) -> HubCandidates<'_> {
-        let (idx, start) = self.hub_starts[i];
-        let end = self
-            .hub_starts
-            .get(i + 1)
-            .map_or(self.nodes.len(), |&(_, s)| s as usize);
-        let start = start as usize;
-        HubCandidates {
-            batch_idx: idx,
-            nodes: &self.nodes[start..end],
-            parents: &self.parents[start..end],
-            dists: &self.dists[start..end],
-        }
-    }
-
-    fn clear(&mut self) {
-        self.hub_starts.clear();
-        self.nodes.clear();
-        self.parents.clear();
-        self.dists.clear();
-    }
-}
-
-/// One hub's journaled candidate list, in search settle order.
-#[derive(Clone, Copy, Debug)]
-pub struct HubCandidates<'a> {
-    /// Batch-local hub index.
-    pub batch_idx: u32,
-    /// Settled nodes that survived the (frozen-snapshot) prune test.
-    pub nodes: &'a [u32],
-    /// Each candidate's search-tree predecessor (self for the hub).
-    pub parents: &'a [u32],
-    /// Settled distances, parallel to `nodes`.
-    pub dists: &'a [f64],
-}
-
-/// Per-thread sharded label journal for one batch of the parallel PLL
-/// build.
-///
-/// Hubs of a batch are assigned round-robin: the hub with batch-local
-/// index `i` is journaled by shard `i % num_shards` (matching the strided
-/// worker partition, which balances the expensive low-rank searches).
-/// [`ShardedJournal::cursor`] walks the per-shard spans back in global
-/// rank order for the merge step.
-#[derive(Clone, Debug)]
-pub struct ShardedJournal {
-    shards: Vec<JournalShard>,
-}
-
-impl ShardedJournal {
-    /// A journal with `num_shards` (= worker thread count) shards.
-    pub fn new(num_shards: usize) -> Self {
-        assert!(num_shards > 0, "journal needs at least one shard");
-        ShardedJournal {
-            shards: vec![JournalShard::default(); num_shards],
-        }
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Mutable shard access for handing one shard to each worker.
-    pub fn shards_mut(&mut self) -> &mut [JournalShard] {
-        &mut self.shards
-    }
-
-    /// Total candidates journaled across all shards.
-    pub fn total_entries(&self) -> usize {
-        self.shards.iter().map(JournalShard::len).sum()
-    }
-
-    /// Resets all shards for the next batch, keeping their allocations.
-    pub fn clear(&mut self) {
-        for s in &mut self.shards {
-            s.clear();
-        }
-    }
-
-    /// A cursor replaying the journal hub by hub in ascending batch-local
-    /// (= global rank) order.
-    pub fn cursor(&self) -> JournalCursor<'_> {
-        JournalCursor {
-            journal: self,
-            pos: vec![0; self.shards.len()],
-            next_hub: 0,
-        }
-    }
-}
-
-/// Rank-order replay cursor over a [`ShardedJournal`].
-pub struct JournalCursor<'a> {
-    journal: &'a ShardedJournal,
-    /// Next unread span per shard.
-    pos: Vec<usize>,
-    /// Next batch-local hub index to yield.
-    next_hub: u32,
-}
-
-impl<'a> JournalCursor<'a> {
-    /// The next hub's candidate list, or `None` when every span has been
-    /// replayed.
-    pub fn next_hub(&mut self) -> Option<HubCandidates<'a>> {
-        let s = (self.next_hub as usize) % self.journal.shards.len();
-        let shard = &self.journal.shards[s];
-        if self.pos[s] >= shard.hub_starts.len() {
-            return None;
-        }
-        let span = shard.span(self.pos[s]);
-        assert_eq!(
-            span.batch_idx, self.next_hub,
-            "journal spans out of rank order (round-robin assignment violated)"
-        );
-        self.pos[s] += 1;
-        self.next_hub += 1;
-        Some(span)
-    }
-}
-
 /// Iterator over a node's in-construction label (descending hub rank).
 pub struct BuilderEntries<'a> {
     builder: &'a LabelSetBuilder,
@@ -700,46 +528,5 @@ mod tests {
         assert_eq!(s.dists_bytes, 3 * 8);
         assert_eq!(s.bytes, 4 * 4 + 3 * 4 + 3 * 8);
         assert_eq!(LabelSet::new(2).stats().bytes, 3 * 4);
-    }
-
-    #[test]
-    fn sharded_journal_replays_in_rank_order() {
-        // 5 hubs over 2 shards: shard 0 gets hubs 0, 2, 4; shard 1 gets
-        // 1, 3. Hub 3's search journals nothing (empty span).
-        let mut j = ShardedJournal::new(2);
-        {
-            let shards = j.shards_mut();
-            shards[0].begin_hub(0);
-            shards[0].push(7, 7, 0.5);
-            shards[0].push(8, 7, 1.5);
-            shards[1].begin_hub(1);
-            shards[1].push(9, 9, 2.5);
-            shards[0].begin_hub(2);
-            shards[0].push(1, 1, 0.0);
-            shards[1].begin_hub(3);
-            shards[0].begin_hub(4);
-            shards[0].push(2, 2, 4.0);
-        }
-        assert_eq!(j.total_entries(), 5);
-        let mut cur = j.cursor();
-        let mut seen = Vec::new();
-        while let Some(h) = cur.next_hub() {
-            assert_eq!(h.nodes.len(), h.dists.len());
-            assert_eq!(h.nodes.len(), h.parents.len());
-            seen.push((h.batch_idx, h.nodes.to_vec()));
-        }
-        assert_eq!(
-            seen,
-            vec![
-                (0, vec![7, 8]),
-                (1, vec![9]),
-                (2, vec![1]),
-                (3, vec![]),
-                (4, vec![2]),
-            ]
-        );
-        j.clear();
-        assert_eq!(j.total_entries(), 0);
-        assert!(j.cursor().next_hub().is_none());
     }
 }

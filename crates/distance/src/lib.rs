@@ -14,10 +14,8 @@
 //!   shortest path is covered by some common hub. Labels live in one flat
 //!   CSR [`LabelSet`] (per-node offsets into parallel hub-rank and
 //!   distance arrays); pairwise queries are a merge-join over two label
-//!   slices. Construction is a batch-synchronous parallel build
-//!   ([`BuildConfig`]) whose output is bit-identical to the sequential
-//!   algorithm for every thread count and batch size (see
-//!   `src/README.md`).
+//!   slices. Construction is the sequential algorithm, one pruned
+//!   Dijkstra per hub in rank order, on the caller's thread.
 //! * [`SourceScatter`] — the one-to-many query engine: scatter a source's
 //!   label once, then answer each target in `O(|label(target)|)` with no
 //!   merge. This is what makes Algorithm 1's root scan fast — one scatter
@@ -51,15 +49,12 @@ pub mod scatter;
 
 pub use dijkstra_oracle::DijkstraOracle;
 pub use incremental::{refresh, IncrementalError, IncrementalReport};
-pub use label::{
-    JournalCursor, JournalShard, LabelEntry, LabelRef, LabelSet, LabelSetBuilder, LabelStats,
-    ShardedJournal,
-};
+pub use label::{LabelEntry, LabelRef, LabelSet, LabelSetBuilder, LabelStats};
 pub use oracle::DistanceOracle;
 pub use order::{degree_descending_order, VertexOrder};
 pub use persist::{
     atomic_write, graph_fingerprint, sweep_orphaned_tmp, sweep_orphaned_tmp_dir, PersistError,
     SnapshotFingerprint,
 };
-pub use pll::{BatchProfile, BuildConfig, BuildProfile, PrunedLandmarkLabeling};
+pub use pll::{BuildConfig, PrunedLandmarkLabeling};
 pub use scatter::SourceScatter;

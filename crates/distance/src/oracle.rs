@@ -8,8 +8,8 @@ use atd_graph::NodeId;
 /// built from: `distance(u, v)` returns the weight of a shortest `u`–`v`
 /// path, or `None` when `v` is unreachable from `u`.
 ///
-/// `Sync` is required so Algorithm 1's independent per-root scan can be
-/// parallelized with scoped threads.
+/// `Sync` is required so one oracle can answer queries from several
+/// threads at once, such as the workers of a query service.
 pub trait DistanceOracle: Sync {
     /// Shortest-path distance between `u` and `v`, or `None` if
     /// disconnected.

@@ -4,7 +4,7 @@
 //! already built — yet every process start used to pay a full PLL
 //! construction. The CSR [`LabelSet`] is three flat arrays, so a built
 //! index serializes to a straightforward little-endian dump that loads
-//! orders of magnitude faster than even the parallel rebuild
+//! orders of magnitude faster than a rebuild
 //! (`O(index bytes)` instead of `O(graph rebuild)` — see
 //! `BENCH_pr5.json` and the cold-start section of the README).
 //!

@@ -118,7 +118,7 @@ proptest! {
     ) {
         let config = BuildConfig {
             incremental_hub_budget: Some(10_000),
-            ..BuildConfig::sequential()
+            ..BuildConfig::default()
         };
         let mut cur = build(n, &edges);
         let mut pll = PrunedLandmarkLabeling::build_with_config(
@@ -153,7 +153,7 @@ proptest! {
         (n, edges) in random_graph(),
         muts in mutations(),
     ) {
-        let config = BuildConfig::sequential();
+        let config = BuildConfig::default();
         let mut cur = build(n, &edges);
         let mut pll = PrunedLandmarkLabeling::build_with_config(
             &cur,

@@ -382,7 +382,7 @@ fn pinned_v2_index_loads_and_reencodes_byte_for_byte() {
     let built = PrunedLandmarkLabeling::build_with_config(
         &g,
         VertexOrder::DegreeDescending,
-        &BuildConfig::sequential(),
+        &BuildConfig::default(),
     );
     assert_eq!(
         built.labels().to_bytes(graph_fingerprint(&g)),

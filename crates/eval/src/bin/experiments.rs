@@ -3,16 +3,12 @@
 //! ```text
 //! experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all]
 //!             [--scale tiny|small|medium|paper] [--out DIR|-]
-//!             [--pll-threads N] [--pll-batch N]
 //!             [--pll-load FILE] [--pll-save FILE]
 //!             [--mutate N]
 //! ```
 //!
 //! Default: `all --scale small --out results`. An unknown section name
 //! or flag prints the usage and exits 2 before any testbed is built.
-//! `--pll-threads` / `--pll-batch` pin the parallel PLL builder's
-//! configuration so cold-start (index construction) time can be measured
-//! end-to-end.
 //! `--pll-load` points at a persistent index file: load it when its
 //! snapshot fingerprint matches, else build and save it there (the
 //! load-or-build cold start); `--pll-save` additionally dumps the
@@ -49,15 +45,12 @@ const SECTIONS: &[&str] = &[
 const USAGE: &str =
     "usage: experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all] \
                      [--scale tiny|small|medium|paper] [--out DIR|-] \
-                     [--pll-threads N] [--pll-batch N] \
                      [--pll-load FILE] [--pll-save FILE] [--mutate N]";
 
 struct Args {
     which: Vec<String>,
     scale: Scale,
     out: Option<PathBuf>,
-    pll_threads: Option<usize>,
-    pll_batch: Option<usize>,
     pll_load: Option<PathBuf>,
     pll_save: Option<PathBuf>,
     mutate: Option<usize>,
@@ -67,8 +60,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut which = Vec::new();
     let mut scale = Scale::Small;
     let mut out = Some(PathBuf::from("results"));
-    let mut pll_threads = None;
-    let mut pll_batch = None;
     let mut pll_load = None;
     let mut pll_save = None;
     let mut mutate = None;
@@ -86,14 +77,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 } else {
                     Some(PathBuf::from(v))
                 };
-            }
-            "--pll-threads" => {
-                let v = argv.next().ok_or("--pll-threads needs a value")?;
-                pll_threads = Some(v.parse().map_err(|_| format!("bad thread count '{v}'"))?);
-            }
-            "--pll-batch" => {
-                let v = argv.next().ok_or("--pll-batch needs a value")?;
-                pll_batch = Some(v.parse().map_err(|_| format!("bad batch size '{v}'"))?);
             }
             "--pll-load" => {
                 let v = argv.next().ok_or("--pll-load needs a value")?;
@@ -124,8 +107,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         which,
         scale,
         out,
-        pll_threads,
-        pll_batch,
         pll_load,
         pll_save,
         mutate,
@@ -147,14 +128,10 @@ fn main() {
     println!("== Authority-Based Team Discovery — experiment harness ==");
     println!("scale: {:?}", args.scale);
     let t0 = Instant::now();
-    let mut options = DiscoveryOptions::default();
-    if let Some(t) = args.pll_threads {
-        options.pll_build.threads = Some(t);
-    }
-    if let Some(b) = args.pll_batch {
-        options.pll_build.batch_size = b;
-    }
-    options.pll_index_path = args.pll_load.clone();
+    let options = DiscoveryOptions {
+        pll_index_path: args.pll_load.clone(),
+        ..DiscoveryOptions::default()
+    };
     let tb = Testbed::with_options(args.scale, options);
     println!(
         "testbed: {} experts, {} edges, {} skills, {} skill holders (built in {:.1?})",
@@ -187,24 +164,6 @@ fn main() {
             "pll index: saved {} KiB to {}",
             bytes / 1024,
             path.display()
-        );
-    }
-    if tb.engine.pll_index_loaded() {
-        println!("pll cold start: index loaded from disk — no build profile");
-    } else {
-        let prof = tb.engine.pll_profile();
-        println!(
-            "pll cold start: {} threads, batch cap {}, {} batches, \
-             search {:.1?} + merge {:.1?}, {} journaled -> {} committed entries, \
-             {} repaired hubs",
-            prof.threads,
-            prof.batch_size,
-            prof.batches.len(),
-            prof.search_time,
-            prof.merge_time,
-            prof.journaled_entries,
-            prof.committed_entries,
-            prof.repaired_hubs
         );
     }
     let stats = tb.engine.pll_stats();
@@ -320,10 +279,7 @@ fn mutate_section(tb: &Testbed, n: usize) -> String {
             default_deadline: None,
             ..ServeConfig::default()
         },
-        discovery: DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
+        discovery: DiscoveryOptions::default(),
         checkpoint_every: 0,
     };
 
@@ -394,13 +350,9 @@ fn mutate_section(tb: &Testbed, n: usize) -> String {
     );
 
     // Bit-identity spot check against a direct engine over the oracle.
-    let direct = atd_core::Discovery::with_options(
+    let direct = atd_core::Discovery::new(
         uninterrupted.clone(),
         tb.net.skills.padded_to(uninterrupted.num_nodes()),
-        DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
     )
     .expect("oracle engine");
     let projects = atd_eval::workload::generate_projects(
@@ -453,15 +405,8 @@ fn mutate_section(tb: &Testbed, n: usize) -> String {
 /// the direct engine, and renders the service counters.
 fn serve_section(tb: &Testbed) -> String {
     use atd_serve::{QueryService, Request, ServeConfig};
-    let engine = atd_core::Discovery::with_options(
-        tb.net.graph.clone(),
-        tb.net.skills.clone(),
-        DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
-    )
-    .expect("serve engine");
+    let engine = atd_core::Discovery::new(tb.net.graph.clone(), tb.net.skills.clone())
+        .expect("serve engine");
     let service = std::sync::Arc::new(QueryService::start(
         engine,
         ServeConfig {
@@ -545,15 +490,8 @@ fn overload_section(tb: &Testbed) -> String {
     let gamma = 0.6;
     let strategy = atd_core::Strategy::SaCaCc { gamma, lambda: 0.6 };
     let engine = || {
-        atd_core::Discovery::with_options(
-            tb.net.graph.clone(),
-            tb.net.skills.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .expect("overload engine")
+        atd_core::Discovery::new(tb.net.graph.clone(), tb.net.skills.clone())
+            .expect("overload engine")
     };
     let projects = atd_eval::workload::generate_projects(
         &tb.net.skills,

@@ -96,13 +96,10 @@ impl Testbed {
     }
 
     /// Builds the testbed with explicit engine options — in particular
-    /// `DiscoveryOptions::pll_build`, so cold-start (index construction)
-    /// experiments can pin the parallel builder's thread count and batch
-    /// size end-to-end, and `DiscoveryOptions::pll_index_path`, which
-    /// turns the cold start into a load-or-build against a persisted
-    /// index file (`experiments --pll-load`). Discovery results are
-    /// bit-identical for every combination; only cold-start time
-    /// changes.
+    /// `DiscoveryOptions::pll_index_path`, which turns the cold start
+    /// into a load-or-build against a persisted index file
+    /// (`experiments --pll-load`). A loaded index is bit-identical to a
+    /// built one, so only cold-start time changes.
     pub fn with_options(scale: Scale, options: DiscoveryOptions) -> Testbed {
         let synth = SynthCorpus::generate(&scale.synth_config());
         let net = ExpertNetwork::build(synth.corpus, &BuildConfig::default())

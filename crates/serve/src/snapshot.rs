@@ -121,6 +121,7 @@ mod tests {
     #[test]
     fn concurrent_loads_and_swaps_never_tear_or_regress() {
         use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
         // One writer swapping as fast as it can; several readers
         // hammering load(). Every load must observe a monotonically
         // nondecreasing version (per reader), every swap must return the
@@ -129,14 +130,21 @@ mod tests {
         let cell = Arc::new(SnapshotCell::new(Arc::new(Snapshot::new(0, e1))));
         let stop = Arc::new(AtomicBool::new(false));
         const SWAPS: u64 = 200;
+        const READERS: usize = 4;
+        // The writer starts swapping only once every reader has loaded,
+        // so each reader runs while the swaps do, however the threads
+        // are scheduled.
+        let started = Arc::new(Barrier::new(READERS + 1));
 
-        let readers: Vec<_> = (0..4)
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
-                    let mut last = 0u64;
-                    let mut seen = 0u64;
+                    let mut last = cell.load().version();
+                    let mut seen = 1u64;
+                    started.wait();
                     while !stop.load(Ordering::Relaxed) {
                         let snap = cell.load();
                         assert!(snap.version() >= last, "version went backwards");
@@ -148,6 +156,7 @@ mod tests {
             })
             .collect();
 
+        started.wait();
         for version in 1..=SWAPS {
             let (engine, _) = tiny_engine(1.0 + version as f64);
             let old = cell.swap(Arc::new(Snapshot::new(version, engine)));

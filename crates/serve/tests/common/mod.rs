@@ -25,13 +25,7 @@ pub fn engine_from(net: &ExpertNetwork, options: DiscoveryOptions) -> Discovery 
 }
 
 pub fn engine(net: &ExpertNetwork) -> Discovery {
-    engine_from(
-        net,
-        DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
-    )
+    engine_from(net, DiscoveryOptions::default())
 }
 
 /// Deterministic projects over well-covered skills: consecutive pairs of

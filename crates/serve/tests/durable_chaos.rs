@@ -43,10 +43,7 @@ fn tempdir(tag: &str) -> PathBuf {
 }
 
 fn options() -> DiscoveryOptions {
-    DiscoveryOptions {
-        threads: Some(1),
-        ..Default::default()
-    }
+    DiscoveryOptions::default()
 }
 
 fn config() -> DurableConfig {

@@ -188,7 +188,6 @@ fn corrupt_snapshot_file_fails_the_swap_and_old_snapshot_keeps_serving() {
     let saved = common::engine_from(
         &net,
         DiscoveryOptions {
-            threads: Some(1),
             pll_index_path: Some(path.clone()),
             ..Default::default()
         },
@@ -211,7 +210,6 @@ fn corrupt_snapshot_file_fails_the_swap_and_old_snapshot_keeps_serving() {
             net.graph.clone(),
             net.skills.clone(),
             DiscoveryOptions {
-                threads: Some(1),
                 pll_index_path: Some(path.clone()),
                 pll_load_only: true,
                 ..Default::default()

@@ -211,7 +211,6 @@ fn swaps_panics_slow_queries_and_corrupt_loads_never_break_identity() {
             let save = common::engine_from(
                 &fx.net,
                 DiscoveryOptions {
-                    threads: Some(1),
                     pll_index_path: Some(snapshot_path.clone()),
                     ..Default::default()
                 },
@@ -226,7 +225,6 @@ fn swaps_panics_slow_queries_and_corrupt_loads_never_break_identity() {
                     fx.net.graph.clone(),
                     fx.net.skills.clone(),
                     DiscoveryOptions {
-                        threads: Some(1),
                         pll_index_path: Some(snapshot_path.clone()),
                         pll_load_only: true,
                         ..Default::default()
@@ -302,15 +300,7 @@ fn swaps_panics_slow_queries_and_corrupt_loads_never_break_identity() {
 /// Rebuilds an engine equivalent to `d` (fresh Discovery for ownership
 /// transfer into the service).
 fn rebuild(d: &Discovery) -> Discovery {
-    Discovery::with_options(
-        d.graph().clone(),
-        d.skills().clone(),
-        DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
-    )
-    .expect("rebuild equivalent engine")
+    Discovery::new(d.graph().clone(), d.skills().clone()).expect("rebuild equivalent engine")
 }
 
 #[derive(Default)]

@@ -56,10 +56,7 @@ fn main() {
             default_deadline: None,
             ..ServeConfig::default()
         },
-        discovery: DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
+        discovery: DiscoveryOptions::default(),
         checkpoint_every: 0,
     };
 

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use atd_core::greedy::{Discovery, DiscoveryOptions};
+use atd_core::greedy::Discovery;
 use atd_core::{Project, SkillId, Strategy};
 use atd_dblp::graph_build::{BuildConfig, ExpertNetwork};
 use atd_dblp::synth::{SynthConfig, SynthCorpus};
@@ -29,15 +29,7 @@ fn network(authors: usize, seed: u64) -> ExpertNetwork {
 }
 
 fn engine(net: &ExpertNetwork) -> Discovery {
-    Discovery::with_options(
-        net.graph.clone(),
-        net.skills.clone(),
-        DiscoveryOptions {
-            threads: Some(1),
-            ..Default::default()
-        },
-    )
-    .expect("engine builds")
+    Discovery::new(net.graph.clone(), net.skills.clone()).expect("engine builds")
 }
 
 /// Two-skill projects over the best-covered skills.
