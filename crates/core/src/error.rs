@@ -21,18 +21,13 @@ pub enum DiscoveryError {
     },
     /// A replacement was requested for an expert who is not on the team.
     NotATeamMember(atd_graph::NodeId),
-    /// Explicitly saving the PLL index (`Discovery::save_pll_index`)
-    /// failed. Carries the formatted persistence error. The implicit
-    /// save inside the `DiscoveryOptions::pll_index_path` load-or-build
-    /// cold start does **not** raise this — a failed background save
-    /// degrades to a recorded warning (`Discovery::pll_persist_warning`)
-    /// since the in-memory index is fine.
+    /// Saving the PLL index (`Discovery::save_pll_index`) failed.
+    /// Carries the formatted persistence error.
     IndexPersist(String),
-    /// Loading the PLL index failed while
-    /// `DiscoveryOptions::pll_load_only` demanded a load (no rebuild
-    /// fallback). Carries the formatted persistence error. Without
-    /// `pll_load_only`, a missing/stale/corrupt file silently triggers a
-    /// rebuild instead.
+    /// Loading the PLL index from `DiscoveryOptions::pll_index_path`
+    /// failed: the file is missing, stale, corrupt or of a foreign
+    /// format. Carries the formatted persistence error; the engine never
+    /// falls back to a build.
     IndexLoad(String),
     /// The search was cancelled before completing — its `CancelToken`
     /// was cancelled explicitly or its deadline passed. The fail-fast

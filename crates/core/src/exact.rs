@@ -32,7 +32,7 @@ use atd_graph::{dijkstra_with_targets, ExpertGraph, NodeId, SubTree, TotalF64};
 
 use crate::error::DiscoveryError;
 use crate::normalize::Normalization;
-use crate::objectives::{score_team, DuplicatePolicy, ObjectiveWeights};
+use crate::objectives::{score_team, ObjectiveWeights};
 use crate::skills::{Project, SkillId, SkillIndex};
 use crate::strategy::Strategy;
 use crate::team::{ScoredTeam, Team};
@@ -42,9 +42,6 @@ use crate::team::{ScoredTeam, Team};
 pub struct ExactConfig {
     /// Objective tradeoffs (γ, λ).
     pub weights: ObjectiveWeights,
-    /// SA duplicate policy — [`DuplicatePolicy::PerSkill`] matches the
-    /// greedy algorithm's per-selection λ terms.
-    pub policy: DuplicatePolicy,
     /// Cap on `2^|terminals| · |V|` DP states per Steiner instance.
     pub max_dw_states: u128,
     /// Cap on the number of enumerated assignments.
@@ -62,7 +59,6 @@ impl ExactConfig {
     pub fn new(weights: ObjectiveWeights) -> Self {
         ExactConfig {
             weights,
-            policy: DuplicatePolicy::default(),
             max_dw_states: 1 << 27,
             max_assignments: 1 << 20,
             max_steiner_instances: 20_000,
@@ -215,7 +211,7 @@ impl<'g> ExactTeamFinder<'g> {
         };
 
         let team = Team::new(tree, assignment);
-        let score = score_team(&self.norm, &team, self.config.policy);
+        let score = score_team(&self.norm, &team);
         let strategy = Strategy::SaCaCc {
             gamma: self.config.weights.gamma(),
             lambda: self.config.weights.lambda(),

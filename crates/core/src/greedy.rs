@@ -45,7 +45,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -58,56 +58,41 @@ use atd_graph::{dijkstra_with_targets, ExpertGraph, NodeId, SubTree};
 use crate::cancel::CancelToken;
 use crate::error::DiscoveryError;
 use crate::normalize::Normalization;
-use crate::objectives::{score_team, DuplicatePolicy};
+use crate::objectives::score_team;
 use crate::skills::{Project, SkillIndex};
 use crate::strategy::Strategy;
 use crate::team::{ScoredTeam, Team};
 use crate::topk::BoundedTopK;
 use crate::transform::authority_transform;
 
+/// Candidates materialized per requested team before deduplication.
+const OVERSAMPLE: usize = 4;
+
 /// Tuning knobs for the [`Discovery`] engine.
 #[derive(Clone, Debug)]
 pub struct DiscoveryOptions {
     /// Zero-guard for authority inversion (see [`Normalization`]).
     pub min_authority: f64,
-    /// How `SA` counts an expert covering several skills.
-    pub duplicate_policy: DuplicatePolicy,
     /// No effect: a query runs on the caller's thread whatever this
     /// says. Kept so callers that set it still compile.
     pub threads: Option<usize>,
-    /// How many extra candidates (multiples of `k`) to materialize before
-    /// deduplication; ≥ 1.
-    pub oversample: usize,
-    /// Post-process materialized teams with
-    /// [`Team::pruned`](crate::team::Team::pruned), removing dangling
-    /// connector chains (a strict improvement over the paper's verbatim
-    /// Algorithm 1; off by default for faithfulness — see the ablation
-    /// bench).
-    pub prune_dangling_connectors: bool,
     /// PLL index settings: the hub budget of incremental refreshes
     /// ([`Discovery::try_incremental`]). No setting changes the labels.
     pub pll_build: PllBuildConfig,
-    /// Load-or-build persistence for the base (CC) PLL index. When set,
-    /// engine construction first tries to load the index from this path;
-    /// a file whose snapshot fingerprint matches the normalized graph
-    /// skips the build entirely — restart cost becomes `O(index bytes)`.
-    /// A missing, stale, corrupt, or foreign-format file (format v1, or a
-    /// storage tag other than flat CSR) triggers the normal build, whose
-    /// result is then saved to this path for the next start.
+    /// Load the base (CC) PLL index from this file instead of building
+    /// it. The file must hold an index saved for the same normalized
+    /// graph ([`Discovery::save_pll_index`]); a missing, stale, corrupt
+    /// or foreign-format file (format v1, or a storage tag other than
+    /// flat CSR) fails construction with [`DiscoveryError::IndexLoad`]
+    /// and never falls back to a build. This is the contract of a
+    /// serving layer: a snapshot load must *fail* (keeping the old
+    /// snapshot) rather than block on an unplanned multi-second build.
     /// Loaded and built indexes are bit-identical, so discovery results
-    /// never depend on which path ran. Only the base index touches the
-    /// file: transformed (γ) indexes are always built in memory. Opening
-    /// an engine with a path also sweeps orphaned `.tmp.<pid>.<seq>`
-    /// files that a crashed save left next to it
-    /// ([`atd_distance::persist::sweep_orphaned_tmp`]).
+    /// never depend on which path ran. Transformed (γ) indexes are
+    /// always built in memory.
     pub pll_index_path: Option<PathBuf>,
-    /// With `pll_index_path` set, require the index to **load** — never
-    /// fall back to a rebuild. A missing, stale, corrupt, or
-    /// foreign-format file surfaces as [`DiscoveryError::IndexLoad`]
-    /// instead of silently paying a build. This is the snapshot-swap
-    /// contract of a serving layer: a background reload must *fail*
-    /// (keeping the old snapshot) rather than block a swap thread on an
-    /// unplanned multi-second rebuild.
+    /// No effect: a set `pll_index_path` always means a strict load.
+    /// Kept so callers that set it still compile.
     pub pll_load_only: bool,
 }
 
@@ -115,10 +100,7 @@ impl Default for DiscoveryOptions {
     fn default() -> Self {
         DiscoveryOptions {
             min_authority: Normalization::DEFAULT_MIN_AUTHORITY,
-            duplicate_policy: DuplicatePolicy::default(),
             threads: None,
-            oversample: 4,
-            prune_dangling_connectors: false,
             pll_build: PllBuildConfig::default(),
             pll_index_path: None,
             pll_load_only: false,
@@ -131,69 +113,20 @@ impl Default for DiscoveryOptions {
 struct RankingContext {
     graph: ExpertGraph,
     pll: PrunedLandmarkLabeling,
-    /// Whether the index came off disk instead of being built (the
-    /// load-or-build cold start of `DiscoveryOptions::pll_index_path`).
-    loaded_from_disk: bool,
 }
 
 impl RankingContext {
     fn build(graph: ExpertGraph) -> Self {
         let pll = PrunedLandmarkLabeling::build_with_order(&graph, VertexOrder::default());
-        RankingContext {
-            graph,
-            pll,
-            loaded_from_disk: false,
-        }
+        RankingContext { graph, pll }
     }
 
-    /// The load-or-build cold start: load the index from `path` when its
-    /// snapshot fingerprint matches `graph`; otherwise build normally and
-    /// save the result to `path`.
-    ///
-    /// Failure handling is graceful in both directions: a load failure
-    /// silently falls back to the build (unless `options.pll_load_only`,
-    /// which turns it into [`DiscoveryError::IndexLoad`] — the strict
-    /// mode a snapshot-swap thread wants), and a **save** failure after
-    /// a successful build degrades to a recorded warning (the second
-    /// tuple element) — the in-memory index is fine, so a read-only
-    /// index directory must not kill the run.
-    fn load_or_build(
-        graph: ExpertGraph,
-        options: &DiscoveryOptions,
-        path: &Path,
-    ) -> Result<(Self, Option<String>), DiscoveryError> {
-        // Startup hygiene: reclaim temp files a crashed save orphaned
-        // next to the index (dead-writer-only, so a concurrent saver in
-        // another process is never raced).
-        atd_distance::persist::sweep_orphaned_tmp(path);
-        match PrunedLandmarkLabeling::load_from(path, &graph) {
-            Ok(pll) => {
-                return Ok((
-                    RankingContext {
-                        graph,
-                        pll,
-                        loaded_from_disk: true,
-                    },
-                    None,
-                ));
-            }
-            Err(e) if options.pll_load_only => {
-                return Err(DiscoveryError::IndexLoad(format!(
-                    "{} ({e})",
-                    path.display()
-                )));
-            }
-            Err(_) => {}
-        }
-        let ctx = RankingContext::build(graph);
-        let warning = ctx.pll.save_to(path, &ctx.graph).err().map(|e| {
-            format!(
-                "index save to {} failed: {e}; serving from the in-memory \
-                 index (the next cold start will rebuild)",
-                path.display()
-            )
-        });
-        Ok((ctx, warning))
+    /// Loads the index for `graph` from `path`; any failure is
+    /// [`DiscoveryError::IndexLoad`].
+    fn load(graph: ExpertGraph, path: &Path) -> Result<Self, DiscoveryError> {
+        let pll = PrunedLandmarkLabeling::load_from(path, &graph)
+            .map_err(|e| DiscoveryError::IndexLoad(format!("{} ({e})", path.display())))?;
+        Ok(RankingContext { graph, pll })
     }
 }
 
@@ -325,12 +258,9 @@ pub struct Discovery {
     options: DiscoveryOptions,
     /// Index for CC (normalized original weights).
     base: Arc<RankingContext>,
-    /// Indices for CA-CC / SA-CA-CC, keyed by `γ.to_bits()`.
-    transformed: RwLock<HashMap<u64, Arc<RankingContext>>>,
-    /// Warning recorded when the load-or-build cold start built an index
-    /// but could not save it to `pll_index_path` (the run continues on
-    /// the in-memory index).
-    persist_warning: Option<String>,
+    /// Indices for CA-CC / SA-CA-CC, keyed by `γ.to_bits()`, one
+    /// build-once cell each.
+    transformed: RwLock<HashMap<u64, Arc<OnceLock<Arc<RankingContext>>>>>,
 }
 
 impl Discovery {
@@ -348,9 +278,9 @@ impl Discovery {
     ) -> Result<Self, DiscoveryError> {
         let norm = Normalization::compute_with_min_authority(&graph, options.min_authority);
         let base_graph = graph.map_weights(|_, _, w| norm.w_bar(w));
-        let (base, persist_warning) = match options.pll_index_path.as_deref() {
-            Some(path) => RankingContext::load_or_build(base_graph, &options, path)?,
-            None => (RankingContext::build(base_graph), None),
+        let base = match options.pll_index_path.as_deref() {
+            Some(path) => RankingContext::load(base_graph, path)?,
+            None => RankingContext::build(base_graph),
         };
         Ok(Discovery {
             graph: Arc::new(graph),
@@ -359,7 +289,6 @@ impl Discovery {
             options,
             base: Arc::new(base),
             transformed: RwLock::new(HashMap::new()),
-            persist_warning,
         })
     }
 
@@ -402,7 +331,6 @@ impl Discovery {
         )?;
         let mut options = self.options.clone();
         options.pll_index_path = None;
-        options.pll_load_only = false;
         Ok((
             Discovery {
                 graph: Arc::new(new_graph),
@@ -412,10 +340,8 @@ impl Discovery {
                 base: Arc::new(RankingContext {
                     graph: new_base,
                     pll,
-                    loaded_from_disk: false,
                 }),
                 transformed: RwLock::new(HashMap::new()),
-                persist_warning: None,
             },
             report,
         ))
@@ -436,11 +362,6 @@ impl Discovery {
         &self.norm
     }
 
-    /// The duplicate policy used when scoring `SA`.
-    pub fn duplicate_policy(&self) -> DuplicatePolicy {
-        self.options.duplicate_policy
-    }
-
     /// Label statistics of the base (CC) distance index, including the
     /// byte footprint of its label planes.
     pub fn pll_stats(&self) -> LabelStats {
@@ -448,21 +369,10 @@ impl Discovery {
     }
 
     /// Whether the base (CC) index was loaded from
-    /// `DiscoveryOptions::pll_index_path` instead of being built —
-    /// `false` when no path was configured or the file was
-    /// missing/stale/corrupt (all of which trigger a build-and-save).
+    /// `DiscoveryOptions::pll_index_path` instead of being built (an
+    /// engine from [`Discovery::try_incremental`] was patched in memory).
     pub fn pll_index_loaded(&self) -> bool {
-        self.base.loaded_from_disk
-    }
-
-    /// The warning recorded when the cold start built the index but
-    /// could not **save** it to `DiscoveryOptions::pll_index_path`
-    /// (e.g. a read-only index directory). The engine is fully
-    /// functional on its in-memory index; surfacing this lets an
-    /// operator learn the next start will rebuild. `None` when no path
-    /// was configured, the index loaded, or the save succeeded.
-    pub fn pll_persist_warning(&self) -> Option<&str> {
-        self.persist_warning.as_deref()
+        self.options.pll_index_path.is_some()
     }
 
     /// Saves the base (CC) index to `path` in the versioned on-disk
@@ -485,20 +395,23 @@ impl Discovery {
         Ok(())
     }
 
+    /// The ranking context for `γ` (the base one for CC). A γ index is
+    /// built once: callers that need it meanwhile wait for that build,
+    /// while the map's lock is held only to fetch the γ's cell, so a
+    /// build never blocks queries on another γ.
     fn context_for(&self, gamma: Option<f64>) -> Arc<RankingContext> {
-        match gamma {
-            None => Arc::clone(&self.base),
-            Some(g) => {
-                let key = g.to_bits();
-                if let Some(ctx) = self.transformed.read().get(&key) {
-                    return Arc::clone(ctx);
-                }
-                let gp = authority_transform(&self.graph, &self.norm, g);
-                let ctx = Arc::new(RankingContext::build(gp));
-                self.transformed.write().insert(key, Arc::clone(&ctx));
-                ctx
-            }
-        }
+        let Some(g) = gamma else {
+            return Arc::clone(&self.base);
+        };
+        let cell = Arc::clone(self.transformed.write().entry(g.to_bits()).or_default());
+        let ctx = cell.get_or_init(|| {
+            Arc::new(RankingContext::build(authority_transform(
+                &self.graph,
+                &self.norm,
+                g,
+            )))
+        });
+        Arc::clone(ctx)
     }
 
     /// Applies the strategy's authority adjustment to a raw distance.
@@ -617,12 +530,7 @@ impl Discovery {
             }
             SubTree::from_paths(&self.graph, cand.root, &paths).ok()?
         };
-        let team = Team::new(tree, cand.assignment.clone());
-        Some(if self.options.prune_dangling_connectors {
-            team.pruned()
-        } else {
-            team
-        })
+        Some(Team::new(tree, cand.assignment.clone()))
     }
 
     /// Finds the top-`k` teams for `project` under `strategy`.
@@ -745,7 +653,7 @@ impl Discovery {
         }
 
         let ctx = self.context_for(strategy.gamma());
-        let limit = k.saturating_mul(self.options.oversample.max(1)).max(k);
+        let limit = k.saturating_mul(OVERSAMPLE);
         let key = strategy.gamma().map(f64::to_bits).unwrap_or(u64::MAX);
         let mut own_scratch = QueryScratch::new();
         let scatter = scratch
@@ -773,7 +681,7 @@ impl Discovery {
             if !seen.insert(team.member_key()) {
                 continue;
             }
-            let score = score_team(&self.norm, &team, self.options.duplicate_policy);
+            let score = score_team(&self.norm, &team);
             let objective = strategy.objective(&score);
             result.teams.push(ScoredTeam {
                 team,
@@ -1028,10 +936,10 @@ mod tests {
 
     #[test]
     fn persisted_index_round_trip_yields_identical_teams() {
-        // Build-and-save, then load-or-build again from the same path:
-        // the second engine must load (not rebuild) and answer every
-        // top-k query bit-identically; a *different* graph against the
-        // same path must be detected as stale and rebuild.
+        // Save, then start a second engine from the same path: it must
+        // load (not rebuild) and answer every top-k query bit-identically;
+        // a *different* graph against the same path must be refused as
+        // stale.
         let dir = std::env::temp_dir().join(format!(
             "atd_persist_greedy_{}_{:?}",
             std::process::id(),
@@ -1045,9 +953,9 @@ mod tests {
             pll_index_path: Some(path.clone()),
             ..Default::default()
         };
-        let first = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
-        assert!(!first.pll_index_loaded(), "no file yet");
-        assert!(path.exists(), "build must have saved");
+        let first = Discovery::new(g.clone(), idx.clone()).unwrap();
+        assert!(!first.pll_index_loaded(), "built in memory");
+        first.save_pll_index(&path).unwrap();
         let second = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
         assert!(second.pll_index_loaded(), "must load");
         assert_eq!(second.pll_stats(), first.pll_stats());
@@ -1067,8 +975,7 @@ mod tests {
                 assert_eq!(x.algorithm_cost.to_bits(), y.algorithm_cost.to_bits());
             }
         }
-        // Same path, different snapshot: the saved index must be
-        // rejected as stale and transparently rebuilt (and re-saved).
+        // Same path, different snapshot: the saved index is stale.
         let mut b2 = GraphBuilder::new();
         let x = b2.add_node(1.0);
         let y = b2.add_node(2.0);
@@ -1078,16 +985,10 @@ mod tests {
         let s = sb.intern("s");
         sb.grant(x, s);
         let idx2 = sb.build(g2.num_nodes());
-        let stale = Discovery::with_options(
-            g2,
-            idx2,
-            DiscoveryOptions {
-                pll_index_path: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!stale.pll_index_loaded(), "stale file must trigger rebuild");
+        match Discovery::with_options(g2, idx2, opts()) {
+            Err(DiscoveryError::IndexLoad(msg)) => assert!(msg.contains("index.atdl"), "{msg}"),
+            other => panic!("stale file must be refused: {:?}", other.err()),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1095,9 +996,8 @@ mod tests {
     fn storage_mismatch_on_disk_triggers_rebuild_in_requested_backend() {
         // CSR is the only backend an engine requests. A file carrying the
         // tag of a retired label layout (1–3 were the compressed and
-        // dictionary layouts) is rejected with a typed error: a plain cold
-        // start rebuilds and re-saves in CSR, while load-only mode
-        // surfaces the failure instead of rebuilding.
+        // dictionary layouts) is refused with a typed error instead of
+        // being rebuilt.
         let dir = std::env::temp_dir().join(format!(
             "atd_persist_storage_{}_{:?}",
             std::process::id(),
@@ -1106,62 +1006,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.atdl");
         let (g, idx, _, _) = figure1();
-        let mk = |load_only| DiscoveryOptions {
+        let opts = || DiscoveryOptions {
             pll_index_path: Some(path.clone()),
-            pll_load_only: load_only,
             ..Default::default()
         };
-        let _csr = Discovery::with_options(g.clone(), idx.clone(), mk(false)).unwrap();
+        let csr = Discovery::new(g.clone(), idx.clone()).unwrap();
+        csr.save_pll_index(&path).unwrap();
         let csr_bytes = std::fs::read(&path).unwrap();
         for tag in [1u8, 2, 3] {
             let mut bytes = csr_bytes.clone();
             bytes[6] = tag; // the header's storage tag byte
             std::fs::write(&path, &bytes).unwrap();
-            match Discovery::with_options(g.clone(), idx.clone(), mk(true)) {
+            match Discovery::with_options(g.clone(), idx.clone(), opts()) {
                 Err(DiscoveryError::IndexLoad(msg)) => {
                     assert!(msg.contains("storage tag"), "tag {tag}: {msg}")
                 }
-                other => panic!("tag {tag} in load-only mode: {:?}", other.err()),
+                other => panic!("tag {tag}: {:?}", other.err()),
             }
-            let rebuilt = Discovery::with_options(g.clone(), idx.clone(), mk(false)).unwrap();
-            assert!(!rebuilt.pll_index_loaded(), "tag {tag} must rebuild");
-            assert_eq!(std::fs::read(&path).unwrap(), csr_bytes, "re-saved as CSR");
         }
-        let again = Discovery::with_options(g, idx, mk(true)).unwrap();
-        assert!(again.pll_index_loaded(), "re-saved index must load");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cold_start_sweeps_orphaned_tmp_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "atd_tmp_sweep_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.atdl");
-        // u32::MAX is beyond Linux's pid_max, so this writer is provably
-        // dead; our own pid could be a live saver thread and must survive.
-        let dead = dir.join("index.atdl.tmp.4294967295.7");
-        let live = dir.join(format!("index.atdl.tmp.{}.3", std::process::id()));
-        let unrelated = dir.join("other.atdl.tmp.4294967295.1");
-        for f in [&dead, &live, &unrelated] {
-            std::fs::write(f, b"half-written junk").unwrap();
-        }
-        let (g, idx, _, _) = figure1();
-        let _ = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                pll_index_path: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!dead.exists(), "dead-writer orphan must be swept");
-        assert!(live.exists(), "own-pid temp may be a live save; keep it");
-        assert!(unrelated.exists(), "other files' temps are left alone");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1196,29 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn unwritable_index_path_degrades_to_recorded_warning() {
-        // A failed background save after a successful build must not
-        // take the engine down: construction succeeds on the in-memory
-        // index and the failure is surfaced via `pll_persist_warning`.
-        let (g, idx, sn, tm) = figure1();
-        let d = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                pll_index_path: Some(PathBuf::from("/nonexistent-dir-for-atd-test/index.atdl")),
-                ..Default::default()
-            },
-        )
-        .expect("build succeeds even when the save fails");
-        assert!(!d.pll_index_loaded());
-        let warning = d.pll_persist_warning().expect("warning recorded");
-        assert!(warning.contains("index.atdl"), "names the path: {warning}");
-        assert!(warning.contains("rebuild"), "explains the consequence");
-        // The in-memory index still answers queries.
-        d.best(&Project::new(vec![sn, tm]), Strategy::Cc).unwrap();
-    }
-
-    #[test]
     fn load_only_mode_refuses_to_rebuild() {
         let dir = std::env::temp_dir().join(format!(
             "atd_load_only_{}_{:?}",
@@ -1229,32 +1068,32 @@ mod tests {
         let path = dir.join("index.atdl");
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
-        let mk = |load_only: bool| DiscoveryOptions {
+        // `pll_load_only` is a no-op: every load is strict.
+        let opts = || DiscoveryOptions {
             pll_index_path: Some(path.clone()),
-            pll_load_only: load_only,
+            pll_load_only: true,
             ..Default::default()
         };
-        // No file yet: load-only must fail rather than rebuild.
-        match Discovery::with_options(g.clone(), idx.clone(), mk(true)) {
+        // No file yet: the load must fail rather than rebuild.
+        match Discovery::with_options(g.clone(), idx.clone(), opts()) {
             Err(DiscoveryError::IndexLoad(_)) => {}
             other => panic!("expected IndexLoad, got {:?}", other.err()),
         }
-        // Build-and-save normally, then load-only succeeds and answers
-        // bit-identically.
-        let built = Discovery::with_options(g.clone(), idx.clone(), mk(false)).unwrap();
-        assert!(built.pll_persist_warning().is_none());
-        let loaded = Discovery::with_options(g.clone(), idx.clone(), mk(true)).unwrap();
+        // Save, then the load succeeds and answers bit-identically.
+        let built = Discovery::new(g.clone(), idx.clone()).unwrap();
+        built.save_pll_index(&path).unwrap();
+        let loaded = Discovery::with_options(g.clone(), idx.clone(), opts()).unwrap();
         assert!(loaded.pll_index_loaded());
         let a = built.best(&project, Strategy::Cc).unwrap();
         let b = loaded.best(&project, Strategy::Cc).unwrap();
         assert_eq!(a.team.member_key(), b.team.member_key());
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        // Corrupt the file: load-only fails, never rebuilds.
+        // Corrupt the file: the load fails, never rebuilds.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        match Discovery::with_options(g, idx, mk(true)) {
+        match Discovery::with_options(g, idx, opts()) {
             Err(DiscoveryError::IndexLoad(_)) => {}
             other => panic!("corrupt file in load-only mode: {:?}", other.err()),
         }
@@ -1357,36 +1196,6 @@ mod tests {
             d.top_k(&Project::new(vec![sa, sc]), Strategy::Cc, 1),
             Err(DiscoveryError::NoTeamFound)
         );
-    }
-
-    #[test]
-    fn pruning_option_never_worsens_the_objective() {
-        let (g, idx, sn, tm) = figure1();
-        let project = Project::new(vec![sn, tm]);
-        let strategy = Strategy::SaCaCc {
-            gamma: 0.6,
-            lambda: 0.6,
-        };
-        let faithful = Discovery::new(g.clone(), idx.clone()).unwrap();
-        let pruned = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                prune_dangling_connectors: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let a = faithful.top_k(&project, strategy, 5).unwrap();
-        let b = pruned.top_k(&project, strategy, 5).unwrap();
-        let best = |ts: &[crate::team::ScoredTeam]| {
-            ts.iter().map(|t| t.objective).fold(f64::INFINITY, f64::min)
-        };
-        assert!(best(&b) <= best(&a) + 1e-9, "pruning can only help");
-        for st in &b {
-            assert!(st.team.covers(&project));
-            st.team.tree.validate().unwrap();
-        }
     }
 
     #[test]
@@ -1588,5 +1397,42 @@ mod tests {
         let a = d.best(&project, Strategy::CaCc { gamma: 0.6 }).unwrap();
         let b = d.best(&project, Strategy::CaCc { gamma: 0.6 }).unwrap();
         assert_eq!(a.team.member_key(), b.team.member_key());
+    }
+
+    #[test]
+    fn concurrent_first_queries_share_one_gamma_index() {
+        // Two first queries on one γ build its index once: both get the
+        // same context, not one each.
+        let side = 16;
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..side * side)
+            .map(|i| b.add_node(1.0 + (i % 7) as f64))
+            .collect();
+        for r in 0..side {
+            for c in 0..side {
+                let u = nodes[r * side + c];
+                if c + 1 < side {
+                    b.add_edge(u, nodes[r * side + c + 1], 1.0).unwrap();
+                }
+                if r + 1 < side {
+                    b.add_edge(u, nodes[(r + 1) * side + c], 1.0).unwrap();
+                }
+            }
+        }
+        let g = b.build().unwrap();
+        let mut sb = SkillIndexBuilder::new();
+        let s = sb.intern("s");
+        sb.grant(nodes[0], s);
+        let d = Discovery::new(g, sb.build(side * side)).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|scope| {
+            let first = || {
+                barrier.wait();
+                d.context_for(Some(0.6))
+            };
+            let (x, y) = (scope.spawn(first), scope.spawn(first));
+            [x.join().unwrap(), y.join().unwrap()]
+        });
+        assert!(Arc::ptr_eq(&a, &b), "one γ index per γ");
     }
 }

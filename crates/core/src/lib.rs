@@ -50,7 +50,7 @@ pub use error::DiscoveryError;
 pub use exact::{ExactConfig, ExactTeamFinder};
 pub use greedy::{Discovery, DiscoveryOptions, PartialResult, QueryScratch};
 pub use normalize::Normalization;
-pub use objectives::{DuplicatePolicy, ObjectiveWeights, TeamScore};
+pub use objectives::{ObjectiveWeights, TeamScore};
 pub use pareto::pareto_front;
 pub use random::RandomTeamFinder;
 pub use skills::{Project, SkillId, SkillIndex, SkillIndexBuilder};

@@ -10,21 +10,6 @@ use crate::error::DiscoveryError;
 use crate::normalize::Normalization;
 use crate::team::Team;
 
-/// How `SA(T)` treats an expert assigned to several skills.
-///
-/// Definition 5 sums over the `n` skill-holder slots (one per required
-/// skill), which is also what Algorithm 1's SA-CA-CC adjustment adds per
-/// selection — so [`DuplicatePolicy::PerSkill`] is the default. `Distinct`
-/// counts each holder once and is provided for sensitivity analysis.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DuplicatePolicy {
-    /// One `ā'` term per required skill (paper default).
-    #[default]
-    PerSkill,
-    /// One `ā'` term per distinct holder.
-    Distinct,
-}
-
 /// Validated tradeoff parameters `γ` (connector-vs-cost) and `λ`
 /// (skill-holder-vs-rest).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -104,27 +89,24 @@ pub fn connector_authority(norm: &Normalization, team: &Team) -> f64 {
 }
 
 /// `SA(T)`: sum of `ā'` over skill-holder slots (Definition 5).
-pub fn skill_holder_authority(norm: &Normalization, team: &Team, policy: DuplicatePolicy) -> f64 {
-    match policy {
-        DuplicatePolicy::PerSkill => {
-            team.assignment
-                .iter()
-                .map(|&(_, c)| norm.a_bar(c))
-                .sum::<f64>()
-                + 0.0
-        }
-        DuplicatePolicy::Distinct => {
-            team.holders().iter().map(|&c| norm.a_bar(c)).sum::<f64>() + 0.0
-        }
-    }
+///
+/// Definition 5 sums over the `n` skill-holder slots, one per required
+/// skill, which is also what Algorithm 1's SA-CA-CC adjustment adds per
+/// selection: an expert assigned two skills counts twice.
+pub fn skill_holder_authority(norm: &Normalization, team: &Team) -> f64 {
+    team.assignment
+        .iter()
+        .map(|&(_, c)| norm.a_bar(c))
+        .sum::<f64>()
+        + 0.0
 }
 
 /// Evaluates all three components at once.
-pub fn score_team(norm: &Normalization, team: &Team, policy: DuplicatePolicy) -> TeamScore {
+pub fn score_team(norm: &Normalization, team: &Team) -> TeamScore {
     TeamScore {
         cc: communication_cost(norm, team),
         ca: connector_authority(norm, team),
-        sa: skill_holder_authority(norm, team, policy),
+        sa: skill_holder_authority(norm, team),
     }
 }
 
@@ -175,16 +157,14 @@ mod tests {
     fn sa_per_skill_vs_distinct() {
         let (norm, team) = fixture();
         // Holders: node 0 (ā'=0.25) and node 2 (ā'=1.0).
-        let per_skill = skill_holder_authority(&norm, &team, DuplicatePolicy::PerSkill);
+        let per_skill = skill_holder_authority(&norm, &team);
         assert!((per_skill - 1.25).abs() < 1e-12);
 
-        // Same expert covering both skills: per-skill doubles, distinct not.
+        // Same expert covering both skills: counted once per skill.
         let tree = SubTree::singleton(NodeId(0));
         let dup = Team::new(tree, vec![(SkillId(0), NodeId(0)), (SkillId(1), NodeId(0))]);
-        let ps = skill_holder_authority(&norm, &dup, DuplicatePolicy::PerSkill);
-        let di = skill_holder_authority(&norm, &dup, DuplicatePolicy::Distinct);
+        let ps = skill_holder_authority(&norm, &dup);
         assert!((ps - 0.5).abs() < 1e-12);
-        assert!((di - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -216,7 +196,7 @@ mod tests {
     #[test]
     fn score_team_bundles_components() {
         let (norm, team) = fixture();
-        let s = score_team(&norm, &team, DuplicatePolicy::PerSkill);
+        let s = score_team(&norm, &team);
         assert!((s.cc - 4.0 / 3.0).abs() < 1e-12);
         assert!((s.ca - 0.5).abs() < 1e-12);
         assert!((s.sa - 1.25).abs() < 1e-12);

@@ -10,7 +10,7 @@ use atd_graph::{ExpertGraph, NodeId, SubTree};
 
 use crate::error::DiscoveryError;
 use crate::normalize::Normalization;
-use crate::objectives::{score_team, DuplicatePolicy, ObjectiveWeights};
+use crate::objectives::{score_team, ObjectiveWeights};
 use crate::skills::{Project, SkillIndex};
 use crate::strategy::Strategy;
 use crate::team::{ScoredTeam, Team};
@@ -27,7 +27,6 @@ pub struct RandomTeamFinder<'g> {
     graph: &'g ExpertGraph,
     skills: &'g SkillIndex,
     norm: Normalization,
-    policy: DuplicatePolicy,
     oracle: DijkstraOracle<'g>,
 }
 
@@ -37,20 +36,10 @@ impl<'g> RandomTeamFinder<'g> {
 
     /// Creates a finder over `graph`/`skills` with default normalization.
     pub fn new(graph: &'g ExpertGraph, skills: &'g SkillIndex) -> Self {
-        Self::with_policy(graph, skills, DuplicatePolicy::default())
-    }
-
-    /// Creates a finder with an explicit SA duplicate policy.
-    pub fn with_policy(
-        graph: &'g ExpertGraph,
-        skills: &'g SkillIndex,
-        policy: DuplicatePolicy,
-    ) -> Self {
         RandomTeamFinder {
             graph,
             skills,
             norm: Normalization::compute(graph),
-            policy,
             oracle: DijkstraOracle::new(graph),
         }
     }
@@ -127,7 +116,7 @@ impl<'g> RandomTeamFinder<'g> {
             let Some(team) = self.random_team(project, rng) else {
                 continue;
             };
-            let score = score_team(&self.norm, &team, self.policy);
+            let score = score_team(&self.norm, &team);
             for (slot, strategy) in best.iter_mut().zip(&strategies) {
                 let objective = strategy.objective(&score);
                 if slot.as_ref().is_none_or(|b| objective < b.objective) {

@@ -23,7 +23,7 @@ use atd_graph::{ExpertGraph, NodeId, SubTree};
 
 use crate::error::DiscoveryError;
 use crate::normalize::Normalization;
-use crate::objectives::{score_team, DuplicatePolicy};
+use crate::objectives::score_team;
 use crate::skills::SkillIndex;
 use crate::strategy::Strategy;
 use crate::team::{ScoredTeam, Team};
@@ -34,26 +34,15 @@ pub struct ReplacementFinder<'g> {
     graph: &'g ExpertGraph,
     skills: &'g SkillIndex,
     norm: Normalization,
-    policy: DuplicatePolicy,
 }
 
 impl<'g> ReplacementFinder<'g> {
     /// Creates a finder over the network.
     pub fn new(graph: &'g ExpertGraph, skills: &'g SkillIndex) -> Self {
-        Self::with_policy(graph, skills, DuplicatePolicy::default())
-    }
-
-    /// Creates a finder with an explicit SA duplicate policy.
-    pub fn with_policy(
-        graph: &'g ExpertGraph,
-        skills: &'g SkillIndex,
-        policy: DuplicatePolicy,
-    ) -> Self {
         ReplacementFinder {
             graph,
             skills,
             norm: Normalization::compute(graph),
-            policy,
         }
     }
 
@@ -184,7 +173,7 @@ impl<'g> ReplacementFinder<'g> {
             if !seen.insert(candidate.member_key()) {
                 continue;
             }
-            let score = score_team(&self.norm, &candidate, self.policy);
+            let score = score_team(&self.norm, &candidate);
             let objective = strategy.objective(&score);
             repaired.push(ScoredTeam {
                 team: candidate,

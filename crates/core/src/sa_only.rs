@@ -8,7 +8,7 @@ use atd_graph::{ExpertGraph, NodeId, SubTree};
 
 use crate::error::DiscoveryError;
 use crate::normalize::Normalization;
-use crate::objectives::{score_team, DuplicatePolicy};
+use crate::objectives::score_team;
 use crate::skills::{Project, SkillIndex};
 use crate::team::{ScoredTeam, Team};
 
@@ -21,7 +21,6 @@ pub fn best_sa_team(
     graph: &ExpertGraph,
     skills: &SkillIndex,
     project: &Project,
-    policy: DuplicatePolicy,
 ) -> Result<ScoredTeam, DiscoveryError> {
     if project.is_empty() {
         return Err(DiscoveryError::EmptyProject);
@@ -64,7 +63,7 @@ pub fn best_sa_team(
     };
 
     let team = Team::new(tree, assignment);
-    let score = score_team(&norm, &team, policy);
+    let score = score_team(&norm, &team);
     Ok(ScoredTeam {
         objective: score.sa,
         algorithm_cost: score.sa,
@@ -104,7 +103,7 @@ mod tests {
     fn picks_highest_authority_holder_per_skill() {
         let (g, idx) = fixture();
         let p = Project::new(vec![idx.id_of("a").unwrap(), idx.id_of("b").unwrap()]);
-        let best = best_sa_team(&g, &idx, &p, DuplicatePolicy::PerSkill).unwrap();
+        let best = best_sa_team(&g, &idx, &p).unwrap();
         assert_eq!(
             best.team.holder_of(idx.id_of("a").unwrap()),
             Some(NodeId(1))
@@ -122,7 +121,7 @@ mod tests {
         let (g, idx) = fixture();
         let p = Project::new(vec![idx.id_of("a").unwrap(), idx.id_of("b").unwrap()]);
         let norm = Normalization::compute(&g);
-        let best = best_sa_team(&g, &idx, &p, DuplicatePolicy::PerSkill).unwrap();
+        let best = best_sa_team(&g, &idx, &p).unwrap();
         // Exhaustive check over the 2x2 assignments.
         for &ha in idx.holders(idx.id_of("a").unwrap()) {
             for &hb in idx.holders(idx.id_of("b").unwrap()) {
@@ -136,7 +135,7 @@ mod tests {
     fn empty_project_rejected() {
         let (g, idx) = fixture();
         assert_eq!(
-            best_sa_team(&g, &idx, &Project::new(vec![]), DuplicatePolicy::PerSkill),
+            best_sa_team(&g, &idx, &Project::new(vec![])),
             Err(DiscoveryError::EmptyProject)
         );
     }
@@ -154,9 +153,6 @@ mod tests {
         sb.grant(c, s1);
         let idx = sb.build(2);
         let p = Project::new(vec![s0, s1]);
-        assert_eq!(
-            best_sa_team(&g, &idx, &p, DuplicatePolicy::PerSkill),
-            Err(DiscoveryError::NoTeamFound)
-        );
+        assert_eq!(best_sa_team(&g, &idx, &p), Err(DiscoveryError::NoTeamFound));
     }
 }

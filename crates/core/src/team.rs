@@ -1,7 +1,5 @@
 //! Teams: the objects every algorithm returns (Definition 1).
 
-use std::collections::HashMap;
-
 use atd_graph::{NodeId, SubTree};
 
 use crate::objectives::TeamScore;
@@ -99,75 +97,6 @@ impl Team {
     pub fn member_key(&self) -> Vec<NodeId> {
         self.tree.nodes.clone()
     }
-
-    /// Removes **dangling connectors**: leaves of the tree that hold no
-    /// assigned skill, repeatedly. Algorithm 1 grows trees from a root
-    /// that may itself end up a degree-one connector; pruning it (and any
-    /// chain behind it) strictly improves every objective, since each
-    /// removed node deletes one edge (CC↓) and one connector (CA↓) while
-    /// coverage is untouched. This is an extension over the paper's
-    /// verbatim algorithm — see the `prune_dangling_connectors` engine
-    /// option and the ablation bench.
-    pub fn pruned(self) -> Team {
-        let mut nodes = self.tree.nodes;
-        let mut edges = self.tree.edges;
-        let holders = self.holders;
-
-        loop {
-            // Degree count over current edges.
-            let mut degree: std::collections::HashMap<NodeId, usize> = HashMap::new();
-            for &(u, v, _) in &edges {
-                *degree.entry(u).or_insert(0) += 1;
-                *degree.entry(v).or_insert(0) += 1;
-            }
-            let removable: Vec<NodeId> = nodes
-                .iter()
-                .copied()
-                .filter(|n| {
-                    degree.get(n).copied().unwrap_or(0) <= 1
-                        && holders.binary_search(n).is_err()
-                        && nodes.len() > 1
-                })
-                .collect();
-            if removable.is_empty() {
-                break;
-            }
-            nodes.retain(|n| !removable.contains(n));
-            edges.retain(|&(u, v, _)| !removable.contains(&u) && !removable.contains(&v));
-        }
-
-        // Re-root at the original root if it survived, else at the first
-        // holder (the root is only pruned when it was a dangling
-        // connector).
-        let root = if nodes.binary_search(&self.tree.root).is_ok() {
-            self.tree.root
-        } else {
-            holders[0]
-        };
-        let tree = SubTree { root, nodes, edges };
-        debug_assert!(
-            tree.validate().is_ok(),
-            "pruning preserves the tree invariant"
-        );
-        Team {
-            tree,
-            assignment: self.assignment,
-            holders,
-            connectors: Vec::new(),
-        }
-        .recompute_connectors()
-    }
-
-    fn recompute_connectors(mut self) -> Team {
-        self.connectors = self
-            .tree
-            .nodes
-            .iter()
-            .copied()
-            .filter(|n| self.holders.binary_search(n).is_err())
-            .collect();
-        self
-    }
 }
 
 /// A team together with its evaluated objective scores.
@@ -239,51 +168,5 @@ mod tests {
     fn member_key_identifies_member_set() {
         let t = team_on_path();
         assert_eq!(t.member_key(), vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    /// Path 0 - 1 - 2 - 3 rooted at 0, but only 2 and 3 hold skills:
-    /// 0 and 1 are a dangling connector chain.
-    fn team_with_dangling_root() -> Team {
-        let mut b = GraphBuilder::new();
-        let n: Vec<NodeId> = (0..4).map(|_| b.add_node(1.0)).collect();
-        for i in 0..3 {
-            b.add_edge(n[i], n[i + 1], 1.0).unwrap();
-        }
-        let g = b.build().unwrap();
-        let sp = dijkstra(&g, n[0]);
-        let tree = SubTree::from_paths(&g, n[0], &[sp.path_to(n[3]).unwrap()]).unwrap();
-        Team::new(tree, vec![(SkillId(0), n[2]), (SkillId(1), n[3])])
-    }
-
-    #[test]
-    fn pruning_removes_dangling_connector_chain() {
-        let t = team_with_dangling_root().pruned();
-        assert_eq!(t.members(), &[NodeId(2), NodeId(3)]);
-        assert!(t.connectors().is_empty());
-        assert_eq!(t.tree.root, NodeId(2), "re-rooted at a surviving holder");
-        t.tree.validate().unwrap();
-        assert_eq!(t.tree.total_edge_weight(), 1.0, "only the 2-3 edge remains");
-    }
-
-    #[test]
-    fn pruning_keeps_internal_connectors() {
-        // 0 (holder) - 1 (connector) - 2 (holder): nothing to prune.
-        let t = team_on_path().pruned();
-        assert_eq!(t.members(), &[NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(t.connectors(), &[NodeId(1)]);
-    }
-
-    #[test]
-    fn pruning_is_idempotent() {
-        let once = team_with_dangling_root().pruned();
-        let twice = once.clone().pruned();
-        assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn pruning_singleton_is_noop() {
-        let tree = SubTree::singleton(NodeId(5));
-        let t = Team::new(tree, vec![(SkillId(0), NodeId(5))]).pruned();
-        assert_eq!(t.size(), 1);
     }
 }

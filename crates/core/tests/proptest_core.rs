@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use atd_core::exact::{ExactConfig, ExactTeamFinder};
 use atd_core::greedy::Discovery;
 use atd_core::normalize::Normalization;
-use atd_core::objectives::{score_team, DuplicatePolicy, ObjectiveWeights};
+use atd_core::objectives::{score_team, ObjectiveWeights};
 use atd_core::random::RandomTeamFinder;
 use atd_core::skills::{Project, SkillIndex, SkillIndexBuilder};
 use atd_core::strategy::Strategy as Rank;
@@ -87,8 +87,8 @@ fn tradeoff() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Candidates materialized per requested team
-/// (`DiscoveryOptions::oversample`'s default).
+/// Candidates materialized per requested team (the engine's
+/// `OVERSAMPLE`).
 const OVERSAMPLE: usize = 4;
 
 /// Two costs equal up to float summation order: within 1e-12 of the
@@ -171,7 +171,7 @@ fn reference_top_k(
         if !seen.insert(team.member_key()) {
             continue;
         }
-        let score = score_team(&norm, &team, DuplicatePolicy::default());
+        let score = score_team(&norm, &team);
         teams.push(ScoredTeam {
             objective: strategy.objective(&score),
             team,
@@ -258,7 +258,7 @@ proptest! {
             for st in &teams {
                 prop_assert!(st.team.covers(&project));
                 st.team.tree.validate().unwrap();
-                let rescore = score_team(&norm, &st.team, DuplicatePolicy::PerSkill);
+                let rescore = score_team(&norm, &st.team);
                 prop_assert!((rescore.cc - st.score.cc).abs() < 1e-9);
                 prop_assert!((rescore.ca - st.score.ca).abs() < 1e-9);
                 prop_assert!((rescore.sa - st.score.sa).abs() < 1e-9);

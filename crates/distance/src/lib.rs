@@ -53,8 +53,7 @@ pub use label::{LabelEntry, LabelRef, LabelSet, LabelSetBuilder, LabelStats};
 pub use oracle::DistanceOracle;
 pub use order::{degree_descending_order, VertexOrder};
 pub use persist::{
-    atomic_write, graph_fingerprint, sweep_orphaned_tmp, sweep_orphaned_tmp_dir, PersistError,
-    SnapshotFingerprint,
+    atomic_write, graph_fingerprint, sweep_orphaned_tmp_dir, PersistError, SnapshotFingerprint,
 };
 pub use pll::{BuildConfig, PrunedLandmarkLabeling};
 pub use scatter::SourceScatter;

@@ -23,12 +23,11 @@
 //! 8-byte-aligned, behind a `max_rank` word). Files of format v1, and
 //! files carrying the tags of the retired compressed and dictionary
 //! layouts, fail with [`PersistError::UnsupportedVersion`] /
-//! [`PersistError::BadStorageTag`]; the load-or-build cold start then
-//! rebuilds.
+//! [`PersistError::BadStorageTag`].
 //!
-//! Typical use is the load-or-build cold start
-//! (`DiscoveryOptions::pll_index_path` in `atd-core` wires this up
-//! end-to-end):
+//! Typical use is a save followed, in a later process, by a load
+//! (`Discovery::save_pll_index` and `DiscoveryOptions::pll_index_path`
+//! in `atd-core` wire this up end-to-end):
 //!
 //! ```
 //! use atd_distance::{PrunedLandmarkLabeling, VertexOrder};
@@ -371,7 +370,7 @@ pub fn checksum(payload: &[u8]) -> u64 {
 /// a process-wide sequence counter, so concurrent savers never share a
 /// temp path), is fsynced, and is then renamed over `path`. A crash or
 /// racing writer never leaves a half-written file at `path`; at worst it
-/// orphans a temp file, which [`sweep_orphaned_tmp`] reclaims on the
+/// orphans a temp file, which [`sweep_orphaned_tmp_dir`] reclaims on the
 /// next startup.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
@@ -429,53 +428,22 @@ fn tmp_owner_is_dead(pid: u32) -> bool {
     }
 }
 
-/// Removes orphaned temp files that a crashed writer left next to the
-/// final file at `path` (the `<name>.tmp.<pid>.<seq>` siblings produced
-/// by [`atomic_write`] between temp-write and rename). Only files whose
-/// name extends `path`'s own file name are considered, and only when the
-/// owning pid is provably dead — live writers in this or another process
-/// are never raced. Returns how many files were removed; IO errors while
-/// scanning are swallowed (the sweep is best-effort hygiene, never a
-/// reason to fail a load).
-pub fn sweep_orphaned_tmp(path: &Path) -> usize {
-    let Some(dir) = path.parent() else {
-        return 0;
-    };
-    let dir = if dir.as_os_str().is_empty() {
-        Path::new(".")
-    } else {
-        dir
-    };
-    let Some(base) = path.file_name().and_then(|n| n.to_str()) else {
-        return 0;
-    };
-    sweep_dir_with(dir, |name| {
-        name.strip_prefix(base)
-            .filter(|rest| rest.starts_with(".tmp."))
-            .is_some()
-    })
-}
-
-/// Removes every provably-orphaned `*.tmp.<pid>.<seq>` file directly
-/// inside `dir`, regardless of which final file it was destined for.
-/// Same safety rules as [`sweep_orphaned_tmp`]; used by stores that own
-/// a whole directory rather than a single index path.
+/// Removes every provably orphaned `*.tmp.<pid>.<seq>` file directly
+/// inside `dir` (the siblings [`atomic_write`] leaves between temp-write
+/// and rename when its writer crashes), whichever final file it was
+/// destined for. A file is removed only when its owning pid is provably
+/// dead, so live writers in this or another process are never raced.
+/// Returns how many files were removed; IO errors while scanning are
+/// swallowed (the sweep is best-effort hygiene, never a reason to fail
+/// an open).
 pub fn sweep_orphaned_tmp_dir(dir: &Path) -> usize {
-    sweep_dir_with(dir, |_| true)
-}
-
-fn sweep_dir_with(dir: &Path, applies: impl Fn(&str) -> bool) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
     let mut removed = 0;
     for entry in entries.flatten() {
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if !applies(name) {
-            continue;
-        }
-        let Some(pid) = parse_tmp_pid(name) else {
+        let Some(pid) = name.to_str().and_then(parse_tmp_pid) else {
             continue;
         };
         if tmp_owner_is_dead(pid) && std::fs::remove_file(entry.path()).is_ok() {
@@ -835,15 +803,15 @@ impl PrunedLandmarkLabeling {
         self.labels().save_to(path, graph)
     }
 
-    /// Loads a previously saved index for `graph` from `path` — the fast
-    /// half of the load-or-build cold start. On top of the label-set
+    /// Loads a previously saved index for `graph` from `path`, in
+    /// `O(index bytes)` instead of a build. On top of the label-set
     /// validation this requires every hub rank to be a valid vertex rank
     /// (`< num_nodes`), which is what lets [`SourceScatter`] scratch
     /// arrays stay direct-indexed.
     ///
     /// The loaded index answers every query bit-identically to the build
-    /// that produced the file; its build profile is empty and
-    /// `build_time` reports the load wall time.
+    /// that produced the file; its `build_time` reports the load wall
+    /// time.
     ///
     /// [`SourceScatter`]: crate::scatter::SourceScatter
     pub fn load_from(

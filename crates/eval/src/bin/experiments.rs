@@ -1,30 +1,20 @@
 //! The experiment runner: regenerates every figure/claim of the paper.
 //!
 //! ```text
-//! experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all]
+//! experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve-overload|all]
 //!             [--scale tiny|small|medium|paper] [--out DIR|-]
-//!             [--pll-load FILE] [--pll-save FILE]
-//!             [--mutate N]
 //! ```
 //!
 //! Default: `all --scale small --out results`. An unknown section name
 //! or flag prints the usage and exits 2 before any testbed is built.
-//! `--pll-load` points at a persistent index file: load it when its
-//! snapshot fingerprint matches, else build and save it there (the
-//! load-or-build cold start); `--pll-save` additionally dumps the
-//! built/loaded index to an explicit file. The labels are bit-identical
-//! in every case — these flags tune cold-start time, never results.
-//!
-//! `--mutate N` runs the durable replay mode: N deterministic graph
-//! mutations (new publications, occasionally a new author) acknowledged
-//! through `atd-serve`'s journal-backed publish path, a mid-stream
-//! checkpoint, then a simulated crash + recovery whose replayed state is
-//! verified fingerprint- and bit-identical to the uninterrupted run.
+//! `serve-overload` offers a 2x overload to the query service twice,
+//! failing fast and with brownout tiers, and reports both arms; the
+//! serving and durability demos are `examples/query_service.rs` and
+//! `examples/durable_service.rs`.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use atd_core::greedy::DiscoveryOptions;
 use atd_eval::figures::{ablation, fig3, fig4, fig5, fig6, runtime, venue_quality};
 use atd_eval::testbed::{Scale, Testbed};
 
@@ -37,32 +27,24 @@ const SECTIONS: &[&str] = &[
     "runtime",
     "venue",
     "ablation",
-    "serve",
     "serve-overload",
     "all",
 ];
 
 const USAGE: &str =
-    "usage: experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|serve-overload|all] \
-                     [--scale tiny|small|medium|paper] [--out DIR|-] \
-                     [--pll-load FILE] [--pll-save FILE] [--mutate N]";
+    "usage: experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve-overload|all] \
+                     [--scale tiny|small|medium|paper] [--out DIR|-]";
 
 struct Args {
     which: Vec<String>,
     scale: Scale,
     out: Option<PathBuf>,
-    pll_load: Option<PathBuf>,
-    pll_save: Option<PathBuf>,
-    mutate: Option<usize>,
 }
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut which = Vec::new();
     let mut scale = Scale::Small;
     let mut out = Some(PathBuf::from("results"));
-    let mut pll_load = None;
-    let mut pll_save = None;
-    let mut mutate = None;
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--scale" => {
@@ -78,22 +60,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                     Some(PathBuf::from(v))
                 };
             }
-            "--pll-load" => {
-                let v = argv.next().ok_or("--pll-load needs a value")?;
-                pll_load = Some(PathBuf::from(v));
-            }
-            "--pll-save" => {
-                let v = argv.next().ok_or("--pll-save needs a value")?;
-                pll_save = Some(PathBuf::from(v));
-            }
-            "--mutate" => {
-                let v = argv.next().ok_or("--mutate needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad mutation count '{v}'"))?;
-                if n == 0 {
-                    return Err("--mutate needs at least 1 mutation".into());
-                }
-                mutate = Some(n);
-            }
             "--help" | "-h" => return Err(USAGE.into()),
             name if SECTIONS.contains(&name) => which.push(name.to_string()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'\n{USAGE}")),
@@ -103,14 +69,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     if which.is_empty() {
         which.push("all".to_string());
     }
-    Ok(Args {
-        which,
-        scale,
-        out,
-        pll_load,
-        pll_save,
-        mutate,
-    })
+    Ok(Args { which, scale, out })
 }
 
 fn main() {
@@ -128,11 +87,7 @@ fn main() {
     println!("== Authority-Based Team Discovery — experiment harness ==");
     println!("scale: {:?}", args.scale);
     let t0 = Instant::now();
-    let options = DiscoveryOptions {
-        pll_index_path: args.pll_load.clone(),
-        ..DiscoveryOptions::default()
-    };
-    let tb = Testbed::with_options(args.scale, options);
+    let tb = Testbed::new(args.scale);
     println!(
         "testbed: {} experts, {} edges, {} skills, {} skill holders (built in {:.1?})",
         tb.net.graph.num_nodes(),
@@ -141,31 +96,6 @@ fn main() {
         tb.net.num_skill_holders(),
         t0.elapsed()
     );
-    if let Some(path) = &args.pll_load {
-        println!(
-            "pll index: {} {}",
-            if tb.engine.pll_index_loaded() {
-                "loaded from"
-            } else {
-                "built fresh and saved to"
-            },
-            path.display()
-        );
-    }
-    if let Some(warning) = tb.engine.pll_persist_warning() {
-        // A failed background save degrades to a warning (the in-memory
-        // index is fine) — surface it, don't die.
-        println!("pll index WARNING: {warning}");
-    }
-    if let Some(path) = &args.pll_save {
-        tb.engine.save_pll_index(path).expect("--pll-save");
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "pll index: saved {} KiB to {}",
-            bytes / 1024,
-            path.display()
-        );
-    }
     let stats = tb.engine.pll_stats();
     println!(
         "pll labels: {} entries (avg {:.1}, max {}), {} KiB ({})",
@@ -230,23 +160,11 @@ fn main() {
         println!("oracle agreement: PLL == Dijkstra on {pairs}/{pairs} sampled pairs");
         println!("[ablation done in {:.1?}]\n", t.elapsed());
     }
-    if wants("serve") {
-        banner("Serving layer — concurrent query service sanity (atd-serve)");
-        let t = Instant::now();
-        println!("{}", serve_section(&tb));
-        println!("[serve done in {:.1?}]\n", t.elapsed());
-    }
     if wants("serve-overload") {
         banner("Serving layer — graceful degradation under 2x overload (atd-serve)");
         let t = Instant::now();
         println!("{}", overload_section(&tb));
         println!("[serve-overload done in {:.1?}]\n", t.elapsed());
-    }
-    if let Some(n) = args.mutate {
-        banner("Durable replay — journal-backed mutations, crash, recovery (atd-store)");
-        let t = Instant::now();
-        println!("{}", mutate_section(&tb, n));
-        println!("[mutate done in {:.1?}]\n", t.elapsed());
     }
 
     if let Some(dir) = out {
@@ -257,215 +175,6 @@ fn main() {
 
 fn banner(title: &str) {
     println!("─── {title} ───");
-}
-
-/// The `--mutate N` replay mode: N deterministic mutations acknowledged
-/// through the durable publish path, a checkpoint halfway, then a
-/// simulated crash (the service is dropped without a shutdown) and a
-/// recovery that must reproduce the uninterrupted run — fingerprint
-/// equality on the graph, bit equality on a sampled top-k query.
-fn mutate_section(tb: &Testbed, n: usize) -> String {
-    use atd_graph::{GraphDelta, NodeId};
-    use atd_serve::{DurableConfig, DurableService, JournalConfig, Request, ServeConfig};
-
-    let dir =
-        std::env::temp_dir().join(format!("atd_experiments_mutate_{}_{n}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let config = DurableConfig {
-        journal: JournalConfig::default(),
-        serve: ServeConfig {
-            workers: 2,
-            queue_capacity: 128,
-            default_deadline: None,
-            ..ServeConfig::default()
-        },
-        discovery: DiscoveryOptions::default(),
-        checkpoint_every: 0,
-    };
-
-    // Deterministic mutation stream: mostly new publications among
-    // existing authors, every 8th a brand-new author joining one.
-    let nodes = tb.net.graph.num_nodes();
-    let mutation = |i: usize, current_nodes: usize| -> GraphDelta {
-        let mut x = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut d = GraphDelta::new();
-        let a = NodeId::from_index((next() % nodes as u64) as usize);
-        let mut b = NodeId::from_index((next() % nodes as u64) as usize);
-        if b == a {
-            b = NodeId::from_index((a.index() + 1) % nodes);
-        }
-        let cost = 0.2 + (next() % 100) as f64 / 250.0;
-        if i % 8 == 7 {
-            let rookie = d.add_author(1.0 + (next() % 5) as f64, current_nodes);
-            d.publication(&[a, b, rookie], cost);
-        } else {
-            d.publication(&[a, b], cost);
-        }
-        d
-    };
-
-    let genesis = tb.net.graph.clone();
-    let (service, report) =
-        DurableService::open(&dir, tb.net.skills.clone(), config.clone(), || genesis)
-            .expect("durable service opens");
-    assert!(report.initialized);
-
-    let t_ack = Instant::now();
-    let mut uninterrupted = tb.net.graph.clone();
-    let mut checkpointed_at = 0u64;
-    for i in 0..n {
-        let delta = mutation(i, uninterrupted.num_nodes());
-        let receipt = service.publish_mutation(&delta).expect("mutation acks");
-        uninterrupted = uninterrupted.apply_delta(&delta).expect("oracle applies");
-        assert_eq!(
-            receipt.graph_fingerprint,
-            atd_distance::persist::graph_fingerprint(&uninterrupted),
-            "ack {i} must match the uninterrupted run"
-        );
-        if i + 1 == n / 2 {
-            checkpointed_at = service.checkpoint().expect("checkpoint");
-        }
-    }
-    let acked_in = t_ack.elapsed();
-    let tail = service.tail_records();
-
-    // Crash: no shutdown, no final checkpoint — recovery must replay.
-    drop(service);
-    let t_rec = Instant::now();
-    let (service, report) =
-        DurableService::open(&dir, tb.net.skills.clone(), config, || unreachable!())
-            .expect("recovery serves");
-    let recovered_in = t_rec.elapsed();
-    assert_eq!(report.replayed_records, tail);
-    assert_eq!(
-        report.graph_fingerprint,
-        atd_distance::persist::graph_fingerprint(&uninterrupted),
-        "recovered state must equal the uninterrupted run"
-    );
-
-    // Bit-identity spot check against a direct engine over the oracle.
-    let direct = atd_core::Discovery::new(
-        uninterrupted.clone(),
-        tb.net.skills.padded_to(uninterrupted.num_nodes()),
-    )
-    .expect("oracle engine");
-    let projects = atd_eval::workload::generate_projects(
-        &tb.net.skills,
-        &atd_eval::workload::WorkloadConfig {
-            count: 4,
-            num_skills: 2,
-            ..Default::default()
-        },
-    );
-    let strategy = atd_core::Strategy::SaCaCc {
-        gamma: 0.6,
-        lambda: 0.6,
-    };
-    let mut verified = 0usize;
-    for p in &projects {
-        let via = service.query(Request::new(p.clone(), strategy, 3));
-        let want = direct.top_k(p, strategy, 3);
-        match (via, want) {
-            (Ok(resp), Ok(want)) => {
-                assert_eq!(resp.teams.len(), want.len());
-                for (g, w) in resp.teams.iter().zip(&want) {
-                    assert_eq!(g.team.member_key(), w.team.member_key());
-                    assert_eq!(g.objective.to_bits(), w.objective.to_bits());
-                }
-                verified += 1;
-            }
-            (Err(e), Err(w)) => assert_eq!(e.to_string(), format!("query failed: {w}")),
-            (s, d) => panic!("recovered/direct disagree: {s:?} vs {d:?}"),
-        }
-    }
-    drop(service);
-    std::fs::remove_dir_all(&dir).ok();
-
-    format!(
-        "{n} mutations acknowledged in {acked_in:.1?} ({:.1?}/ack, fsync on), \
-         checkpoint -> generation {checkpointed_at}\n\
-         crash recovery: generation {}, {} records replayed in {recovered_in:.1?}, \
-         fingerprint {:#018x} == uninterrupted run\n\
-         {verified} recovered top-k answers verified bit-identical to a direct engine",
-        acked_in / n as u32,
-        report.generation,
-        report.replayed_records,
-        report.graph_fingerprint
-    )
-}
-
-/// Runs a short concurrent workload through [`atd_serve::QueryService`]
-/// against the testbed's network, asserts responses are bit-identical to
-/// the direct engine, and renders the service counters.
-fn serve_section(tb: &Testbed) -> String {
-    use atd_serve::{QueryService, Request, ServeConfig};
-    let engine = atd_core::Discovery::new(tb.net.graph.clone(), tb.net.skills.clone())
-        .expect("serve engine");
-    let service = std::sync::Arc::new(QueryService::start(
-        engine,
-        ServeConfig {
-            workers: 2,
-            queue_capacity: 128,
-            default_deadline: Some(std::time::Duration::from_secs(30)),
-            ..ServeConfig::default()
-        },
-    ));
-    let projects = atd_eval::workload::generate_projects(
-        &tb.net.skills,
-        &atd_eval::workload::WorkloadConfig {
-            count: 8,
-            num_skills: 2,
-            ..Default::default()
-        },
-    );
-    let strategies = [
-        atd_core::Strategy::Cc,
-        atd_core::Strategy::SaCaCc {
-            gamma: 0.6,
-            lambda: 0.6,
-        },
-    ];
-    let mut checked = 0usize;
-    std::thread::scope(|scope| {
-        for c in 0..4usize {
-            let service = std::sync::Arc::clone(&service);
-            let projects = &projects;
-            scope.spawn(move || {
-                for (i, p) in projects.iter().enumerate() {
-                    let _ = service.query(Request::new(p.clone(), strategies[(c + i) % 2], 3));
-                }
-            });
-        }
-    });
-    for (i, p) in projects.iter().enumerate() {
-        let strategy = strategies[i % 2];
-        let via_service = service.query(Request::new(p.clone(), strategy, 3));
-        let direct = tb.engine.top_k(p, strategy, 3);
-        match (via_service, direct) {
-            (Ok(resp), Ok(want)) => {
-                assert_eq!(resp.teams.len(), want.len(), "serve vs direct length");
-                for (g, w) in resp.teams.iter().zip(&want) {
-                    assert_eq!(g.team.member_key(), w.team.member_key());
-                    assert_eq!(g.objective.to_bits(), w.objective.to_bits());
-                }
-                checked += 1;
-            }
-            (Err(e), Err(w)) => assert_eq!(e.to_string(), format!("query failed: {w}")),
-            (s, d) => panic!("serve/direct disagree: {s:?} vs {d:?}"),
-        }
-    }
-    format!(
-        "4 clients x {} projects, 2 workers: {} responses verified bit-identical to direct top-k\ncounters: {}",
-        projects.len(),
-        checked,
-        service.stats()
-    )
 }
 
 /// The `serve-overload` section: offers the same paced 2x overload to a
@@ -503,9 +212,10 @@ fn overload_section(tb: &Testbed) -> String {
     );
 
     // Calibrate the mean service time so the 2x overload holds by
-    // construction at every --scale. The first calibration query also
-    // builds the engine's γ index, and the mean includes that build.
+    // construction at every --scale. The γ index is built first, so the
+    // mean times queries alone.
     let fail_fast_engine = engine();
+    fail_fast_engine.prepare_gamma(gamma).expect("γ index");
     let t = Instant::now();
     for p in &projects {
         fail_fast_engine

@@ -3,7 +3,7 @@
 
 use std::sync::OnceLock;
 
-use atd_core::greedy::{Discovery, DiscoveryOptions};
+use atd_core::greedy::Discovery;
 use atd_dblp::graph_build::{BuildConfig, ExpertNetwork};
 use atd_dblp::synth::{SynthConfig, SynthCorpus};
 
@@ -92,20 +92,11 @@ impl Testbed {
     /// Builds the testbed: synthesize corpus → expert network → engine
     /// (including the CC distance index).
     pub fn new(scale: Scale) -> Testbed {
-        Self::with_options(scale, DiscoveryOptions::default())
-    }
-
-    /// Builds the testbed with explicit engine options — in particular
-    /// `DiscoveryOptions::pll_index_path`, which turns the cold start
-    /// into a load-or-build against a persisted index file
-    /// (`experiments --pll-load`). A loaded index is bit-identical to a
-    /// built one, so only cold-start time changes.
-    pub fn with_options(scale: Scale, options: DiscoveryOptions) -> Testbed {
         let synth = SynthCorpus::generate(&scale.synth_config());
         let net = ExpertNetwork::build(synth.corpus, &BuildConfig::default())
             .expect("synthetic corpus builds cleanly");
-        let engine = Discovery::with_options(net.graph.clone(), net.skills.clone(), options)
-            .expect("engine construction");
+        let engine =
+            Discovery::new(net.graph.clone(), net.skills.clone()).expect("engine construction");
         Testbed { net, engine, scale }
     }
 }

@@ -10,6 +10,9 @@ fn unknown_section_or_flag_exits_2_before_building_a_testbed() {
         (&["fig7", "--scale", "tiny", "--out", "-"][..], "fig7"),
         (&["--scael", "tiny"], "--scael"),
         (&["fig3", "-x", "--scale", "tiny"], "-x"),
+        (&["serve", "--scale", "tiny"], "serve"),
+        (&["fig3", "--mutate", "3"], "--mutate"),
+        (&["--pll-load", "x", "fig3"], "--pll-load"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(argv)

@@ -87,10 +87,10 @@ pub struct DurableConfig {
     pub journal: JournalConfig,
     /// Worker pool sizing for the query service.
     pub serve: ServeConfig,
-    /// Engine options for every rebuild. `pll_index_path` and
-    /// `pll_load_only` are managed internally (pointed at the
-    /// generation's index file during recovery, cleared for
-    /// post-mutation rebuilds) — values set here are ignored.
+    /// Engine options for every rebuild. `pll_index_path` is managed
+    /// internally (pointed at the generation's index file during
+    /// recovery, cleared for in-memory builds); a value set here is
+    /// ignored.
     pub discovery: DiscoveryOptions,
     /// Auto-checkpoint after this many WAL records (`0` = only on
     /// explicit [`DurableService::checkpoint`] calls). Auto-checkpoints
@@ -210,53 +210,47 @@ impl DurableService {
     }
 
     /// Builds the engine for a freshly recovered journal. A clean
-    /// checkpoint (empty WAL tail) first tries a strict load of the
-    /// generation's persisted index. A non-empty tail strict-loads the
-    /// index for the *checkpoint* graph and replays the tail's deltas
-    /// incrementally on top ([`Discovery::try_incremental`] per record),
-    /// then cross-checks the final graph fingerprint against the
-    /// journal's. Any failure — file missing because the checkpoint
-    /// skipped the index, stale, corrupt, an incremental refusal — falls
-    /// back to an in-memory build. The generation's files are never
-    /// written to: they are immutable once published, so the fallback
-    /// build deliberately configures *no* index path.
+    /// checkpoint (empty WAL tail) first loads the generation's
+    /// persisted index. A non-empty tail loads the index for the
+    /// *checkpoint* graph and replays the tail's deltas incrementally on
+    /// top ([`Discovery::try_incremental`] per record), then cross-checks
+    /// the final graph fingerprint against the journal's. Every load is
+    /// strict ([`DiscoveryError::IndexLoad`] instead of a build), and any
+    /// failure — file missing because the checkpoint skipped the index,
+    /// stale, corrupt, an incremental refusal — falls back to an
+    /// in-memory build. The generation's files are only ever read: they
+    /// are immutable once published.
     ///
     /// Returns `(engine, incrementally_replayed_records, fell_back)`;
-    /// `fell_back` is only ever true for a non-empty tail (the clean
-    /// checkpoint's load-or-build is cold start, not a fallback).
+    /// `fell_back` is only ever true for a non-empty tail (a clean
+    /// checkpoint whose index does not load is a cold start, not a
+    /// fallback).
     fn recovery_engine(
         journal: &mut Journal,
         skills: &SkillIndex,
         options: &DiscoveryOptions,
     ) -> Result<(Discovery, u64, bool), DiscoveryError> {
-        let graph = journal.graph().clone();
-        let padded = skills.padded_to(graph.num_nodes());
         if journal.tail_records() == 0 {
+            let graph = journal.graph().clone();
+            let padded = skills.padded_to(graph.num_nodes());
             let mut opts = options.clone();
             opts.pll_index_path = Some(journal.index_path());
-            opts.pll_load_only = true;
-            match Discovery::with_options(graph.clone(), padded.clone(), opts) {
+            match Discovery::with_options(graph, padded, opts) {
                 Ok(engine) => return Ok((engine, 0, false)),
                 Err(DiscoveryError::IndexLoad(_)) => {}
                 Err(other) => return Err(other),
             }
-            let mut opts = options.clone();
-            opts.pll_index_path = None;
-            opts.pll_load_only = false;
-            return Ok((Discovery::with_options(graph, padded, opts)?, 0, false));
+            return Ok((Self::rebuild_engine(journal, skills, options)?, 0, false));
         }
 
         if let Some(engine) = Self::incremental_tail_replay(journal, skills, options) {
             let replayed = journal.tail_records();
             return Ok((engine, replayed, false));
         }
-        let mut opts = options.clone();
-        opts.pll_index_path = None;
-        opts.pll_load_only = false;
-        Ok((Discovery::with_options(graph, padded, opts)?, 0, true))
+        Ok((Self::rebuild_engine(journal, skills, options)?, 0, true))
     }
 
-    /// The incremental half of recovery: strict-load the checkpoint's
+    /// The incremental half of recovery: load the checkpoint's
     /// persisted index, fold the replayed WAL tail through
     /// [`Discovery::try_incremental`], and verify the final fingerprint.
     /// `None` means "use the full-rebuild fallback" (with the reason
@@ -270,7 +264,6 @@ impl DurableService {
         let tail = journal.take_replayed_tail()?;
         let mut opts = options.clone();
         opts.pll_index_path = Some(journal.index_path());
-        opts.pll_load_only = true;
         let base_skills = skills.padded_to(tail.base_graph.num_nodes());
         let mut engine =
             Discovery::with_options(tail.base_graph.clone(), base_skills, opts).ok()?;
@@ -357,8 +350,9 @@ impl DurableService {
         Some(engine)
     }
 
-    /// The post-mutation rebuild: always in-memory, never touching the
-    /// published generation's files.
+    /// An in-memory build over the journal's current graph, never
+    /// touching the published generation's files: the post-mutation
+    /// rebuild, and recovery's fallback.
     fn rebuild_engine(
         journal: &Journal,
         skills: &SkillIndex,
@@ -368,7 +362,6 @@ impl DurableService {
         let skills = skills.padded_to(graph.num_nodes());
         let mut opts = options.clone();
         opts.pll_index_path = None;
-        opts.pll_load_only = false;
         Discovery::with_options(graph, skills, opts)
     }
 

@@ -412,10 +412,10 @@ impl QueryService {
     }
 
     /// Fault-contained publication: `build` (typically a strict
-    /// `pll_load_only` snapshot load) runs under `catch_unwind` with the
-    /// `serve.snapshot_load` faultpoint planted in front. Any failure —
-    /// returned error or panic — increments `swap_failures` and leaves
-    /// the current snapshot serving untouched.
+    /// snapshot load from `pll_index_path`) runs under `catch_unwind`
+    /// with the `serve.snapshot_load` faultpoint planted in front. Any
+    /// failure — returned error or panic — increments `swap_failures`
+    /// and leaves the current snapshot serving untouched.
     pub fn try_publish_with<F, E>(&self, build: F) -> Result<Arc<Snapshot>, ServeError>
     where
         F: FnOnce() -> Result<Discovery, E>,

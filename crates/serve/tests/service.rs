@@ -184,15 +184,8 @@ fn corrupt_snapshot_file_fails_the_swap_and_old_snapshot_keeps_serving() {
 
     let net = common::network(12);
     let project = common::projects(&net, 1).remove(0);
-    // Build-and-save a valid snapshot file, then corrupt it.
-    let saved = common::engine_from(
-        &net,
-        DiscoveryOptions {
-            pll_index_path: Some(path.clone()),
-            ..Default::default()
-        },
-    );
-    drop(saved);
+    // Save a valid snapshot file, then corrupt it.
+    common::engine(&net).save_pll_index(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
@@ -203,7 +196,7 @@ fn corrupt_snapshot_file_fails_the_swap_and_old_snapshot_keeps_serving() {
         .query(Request::new(project.clone(), common::strategies()[0], 2))
         .unwrap();
 
-    // A load-only publish from the corrupt file must fail without
+    // A publish that loads the corrupt file must fail without
     // rebuilding and without disturbing the serving snapshot.
     let result = service.try_publish_with(|| {
         atd_core::Discovery::with_options(
@@ -211,7 +204,6 @@ fn corrupt_snapshot_file_fails_the_swap_and_old_snapshot_keeps_serving() {
             net.skills.clone(),
             DiscoveryOptions {
                 pll_index_path: Some(path.clone()),
-                pll_load_only: true,
                 ..Default::default()
             },
         )

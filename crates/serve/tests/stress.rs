@@ -207,15 +207,8 @@ fn swaps_panics_slow_queries_and_corrupt_loads_never_break_identity() {
 
         if round == 1 {
             // Deterministic corrupt-file swap failure: save a real index,
-            // flip a byte, demand load-only.
-            let save = common::engine_from(
-                &fx.net,
-                DiscoveryOptions {
-                    pll_index_path: Some(snapshot_path.clone()),
-                    ..Default::default()
-                },
-            );
-            drop(save);
+            // flip a byte, load it.
+            fx.direct.save_pll_index(&snapshot_path).unwrap();
             let mut bytes = std::fs::read(&snapshot_path).unwrap();
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0xff;
@@ -226,7 +219,6 @@ fn swaps_panics_slow_queries_and_corrupt_loads_never_break_identity() {
                     fx.net.skills.clone(),
                     DiscoveryOptions {
                         pll_index_path: Some(snapshot_path.clone()),
-                        pll_load_only: true,
                         ..Default::default()
                     },
                 )

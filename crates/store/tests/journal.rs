@@ -347,11 +347,18 @@ fn mid_stream_wal_corruption_quarantines_the_generation() {
 #[test]
 fn open_sweeps_orphaned_tmp_files() {
     let dir = tempdir("sweep");
+    // u32::MAX is beyond Linux's pid_max, so this writer is provably
+    // dead. Our own pid could be a live writer thread and must survive;
+    // no journal file has its name, so the open's own writes leave it be.
     let orphan = dir.join("gen-0.graph.tmp.4294967295.0");
-    std::fs::write(&orphan, b"crashed half-write").unwrap();
+    let live = dir.join(format!("live-writer.tmp.{}.0", std::process::id()));
+    for f in [&orphan, &live] {
+        std::fs::write(f, b"crashed half-write").unwrap();
+    }
     let (_, report) = Journal::open(&dir, nosync(), genesis).unwrap();
     assert_eq!(report.swept_tmp_files, 1);
     assert!(!orphan.exists());
+    assert!(live.exists(), "own-pid temp may be a live write; keep it");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use team_discovery::core::exact::{ExactConfig, ExactTeamFinder};
-use team_discovery::core::objectives::{DuplicatePolicy, ObjectiveWeights};
+use team_discovery::core::objectives::ObjectiveWeights;
 use team_discovery::core::random::RandomTeamFinder;
 use team_discovery::core::sa_only::best_sa_team;
 use team_discovery::core::strategy::Strategy;
@@ -181,7 +181,7 @@ fn replacement_repairs_discovered_teams_on_dblp_graph() {
 fn sa_only_solver_matches_exact_at_lambda_one() {
     let net = network(11, 250);
     let project = pick_project(&net, 3, 10);
-    let sa = best_sa_team(&net.graph, &net.skills, &project, DuplicatePolicy::PerSkill);
+    let sa = best_sa_team(&net.graph, &net.skills, &project);
     let exact = ExactTeamFinder::new(
         &net.graph,
         &net.skills,
