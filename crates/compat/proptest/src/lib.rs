@@ -306,7 +306,7 @@ macro_rules! prop_assert_eq {
 
 /// `prop_oneof![a, b, c]` — picks one of the listed strategies per case.
 /// All arms must be the same strategy type (true for this workspace, which
-/// only unions `Just` values).
+/// unions `Just` values and one generator called with different ranges).
 #[macro_export]
 macro_rules! prop_oneof {
     ($($strat:expr),+ $(,)?) => {

@@ -35,14 +35,14 @@ pub enum DiscoveryError {
     /// callers that want the best-so-far answer instead opt into
     /// `Discovery::top_k_anytime`, which never returns this error.
     Cancelled,
-    /// The exact solver refused an instance exceeding its state budget
-    /// (the paper's Exact also fails beyond 6 skills).
+    /// The exact solver refused an instance whose DP would exceed its
+    /// state cap.
     InstanceTooLarge {
-        /// What blew up, e.g. `"2^terminals * nodes"`.
+        /// What was counted, e.g. `"2^skills * nodes"`.
         what: &'static str,
-        /// The computed size.
+        /// The computed size (`u128::MAX` where the count overflows).
         size: u128,
-        /// The configured limit.
+        /// The cap it exceeds.
         limit: u128,
     },
 }

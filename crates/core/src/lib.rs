@@ -47,7 +47,7 @@ pub mod transform;
 
 pub use cancel::CancelToken;
 pub use error::DiscoveryError;
-pub use exact::{ExactConfig, ExactTeamFinder};
+pub use exact::ExactTeamFinder;
 pub use greedy::{Discovery, DiscoveryOptions, PartialResult, QueryScratch};
 pub use normalize::Normalization;
 pub use objectives::{ObjectiveWeights, TeamScore};

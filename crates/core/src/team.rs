@@ -112,6 +112,8 @@ pub struct ScoredTeam {
     pub objective: f64,
     /// Algorithm 1's internal cost (sum of adjusted root→holder distances)
     /// — an upper bound on the realized objective, kept for diagnostics.
+    /// `ExactTeamFinder` reports its DP's total here, and the other
+    /// baselines the objective they minimize.
     pub algorithm_cost: f64,
 }
 

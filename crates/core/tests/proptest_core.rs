@@ -1,10 +1,12 @@
 //! Cross-module properties of the team-formation layer on random expert
 //! networks: coverage, tree validity, exact-vs-greedy dominance,
-//! objective consistency, and agreement with a reference Algorithm 1.
+//! objective consistency, agreement with a reference Algorithm 1, and
+//! agreement of Exact with a brute-force optimum.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
-use atd_core::exact::{ExactConfig, ExactTeamFinder};
+use atd_core::exact::ExactTeamFinder;
 use atd_core::greedy::Discovery;
 use atd_core::normalize::Normalization;
 use atd_core::objectives::{score_team, ObjectiveWeights};
@@ -19,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A connected-ish random instance: ring backbone + random chords, random
-/// authorities, two or three skills granted to random nodes.
+/// authorities, a few skills granted to random nodes.
 #[derive(Debug, Clone)]
 struct Instance {
     n: usize,
@@ -29,8 +31,13 @@ struct Instance {
     num_skills: u8,
 }
 
+/// 4–13 nodes and 2–3 skills.
 fn instance() -> impl Strategy<Value = Instance> {
-    (4usize..14, 2u8..4).prop_flat_map(|(n, num_skills)| {
+    instance_in(4..14, 2..4)
+}
+
+fn instance_in(nodes: Range<usize>, skills: Range<u8>) -> impl Strategy<Value = Instance> {
+    (nodes, skills).prop_flat_map(|(n, num_skills)| {
         let chords = proptest::collection::vec((0..n as u32, 0..n as u32, 0.05f64..2.0), 0..12);
         let authorities = proptest::collection::vec(0.0f64..50.0, n);
         let grants =
@@ -188,6 +195,85 @@ fn reference_top_k(
     (teams, tie_at_cut)
 }
 
+/// The SA-CA-CC optimum by its definition, on a graph of at most 13
+/// nodes. Every connected node subset is a candidate member set. Its CC is
+/// a minimum spanning tree of the induced subgraph, and its node terms
+/// come from every assignment of each skill to a holder inside the subset,
+/// with every unassigned member paying as a connector.
+fn brute_force_optimum(
+    g: &ExpertGraph,
+    idx: &SkillIndex,
+    project: &Project,
+    gamma: f64,
+    lambda: f64,
+) -> f64 {
+    let n = g.num_nodes();
+    assert!(n <= 13, "brute force over 2^{n} subsets");
+    let norm = Normalization::compute(g);
+    let a_bar = |v: usize| norm.a_bar(NodeId::from_index(v));
+    let mut edges: Vec<(usize, usize, f64)> = g
+        .edges()
+        .map(|(u, v, w)| (u.index(), v.index(), norm.w_bar(w)))
+        .collect();
+    edges.sort_by(|a, b| a.2.total_cmp(&b.2));
+    let inside = |set: u32, v: usize| set >> v & 1 == 1;
+
+    let mut best = f64::INFINITY;
+    for set in 1u32..1 << n {
+        // Kruskal on the induced subgraph; a forest means disconnected.
+        let mut component: Vec<usize> = (0..n).collect();
+        let (mut cc, mut joined) = (0.0, 0);
+        for &(u, v, w) in &edges {
+            if !inside(set, u) || !inside(set, v) {
+                continue;
+            }
+            let [ru, rv] = [u, v].map(|mut x| {
+                while component[x] != x {
+                    x = component[x];
+                }
+                x
+            });
+            if ru != rv {
+                component[ru] = rv;
+                cc += w;
+                joined += 1;
+            }
+        }
+        if joined + 1 != set.count_ones() {
+            continue;
+        }
+        let holders: Vec<Vec<usize>> = project
+            .skills()
+            .iter()
+            .map(|&s| {
+                let hs = idx.holders(s).iter().map(|h| h.index());
+                hs.filter(|&h| inside(set, h)).collect()
+            })
+            .collect();
+        if holders.iter().any(Vec::is_empty) {
+            continue;
+        }
+        // Every assignment, as an odometer over the holder lists.
+        let mut pick = vec![0usize; holders.len()];
+        loop {
+            let chosen = || pick.iter().zip(&holders).map(|(&i, hs)| hs[i]);
+            let sa: f64 = chosen().map(a_bar).sum();
+            let assigned = chosen().fold(0u32, |m, h| m | 1 << h);
+            let ca: f64 = (0..n)
+                .filter(|&v| inside(set & !assigned, v))
+                .map(a_bar)
+                .sum();
+            best = best.min(lambda * sa + (1.0 - lambda) * (gamma * ca + (1.0 - gamma) * cc));
+            let Some(k) = (0..pick.len()).find(|&k| pick[k] + 1 < holders[k].len()) else {
+                break;
+            };
+            pick[k] += 1;
+            pick[..k].fill(0);
+        }
+    }
+    best
+}
+
 /// Member sets, objectives and algorithm costs, for failure messages.
 fn summary(teams: &[ScoredTeam]) -> Vec<(Vec<NodeId>, f64, f64)> {
     teams
@@ -277,9 +363,7 @@ proptest! {
         let (gamma, lambda) = (0.6, 0.6);
         let weights = ObjectiveWeights::new(gamma, lambda).unwrap();
 
-        let exact = ExactTeamFinder::new(&g, &idx, ExactConfig::new(weights))
-            .best(&project)
-            .unwrap();
+        let exact = ExactTeamFinder::new(&g, &idx, weights).best(&project).unwrap();
 
         let rnd = RandomTeamFinder::new(&g, &idx)
             .best_of(&project, weights, 60, &mut StdRng::seed_from_u64(11))
@@ -299,6 +383,38 @@ proptest! {
             exact.objective,
             greedy.objective
         );
+    }
+
+    /// `ExactTeamFinder::best` returns a tree of the graph that covers the
+    /// project, and its SA-CA-CC objective is the brute-force optimum
+    /// within 1e-9 relative: 2–3 skills on 4–13 nodes and 4–6 skills on
+    /// 4–9 nodes, with `(γ, λ)` including 0 and 1.
+    #[test]
+    fn exact_matches_brute_force(
+        inst in prop_oneof![instance_in(4..14, 2..4), instance_in(4..10, 4..7)],
+        gamma in tradeoff(),
+        lambda in tradeoff(),
+    ) {
+        let (g, idx, project) = build(&inst);
+        let weights = ObjectiveWeights::new(gamma, lambda).unwrap();
+        let exact = ExactTeamFinder::new(&g, &idx, weights).best(&project).unwrap();
+        let tree = &exact.team.tree;
+        tree.validate().unwrap();
+        for &(u, v, w) in &tree.edges {
+            prop_assert!(g.edge_weight(u, v) == Some(w), "edge ({u}, {v}) not in the graph");
+        }
+        prop_assert!(exact.team.covers(&project));
+        for &(s, v) in &exact.team.assignment {
+            prop_assert!(idx.has_skill(v, s) && tree.contains(v), "{v} cannot cover {s:?}");
+        }
+        let rescored = score_team(&Normalization::compute(&g), &exact.team).sa_ca_cc(gamma, lambda);
+        let want = brute_force_optimum(&g, &idx, &project, gamma, lambda);
+        for got in [exact.objective, rescored] {
+            prop_assert!(
+                (got - want).abs() <= 1e-9 * got.abs().max(want.abs()),
+                "exact {got} != brute force {want} at γ = {gamma}, λ = {lambda} on {inst:?}"
+            );
+        }
     }
 
     /// The SA-CA-CC strategy achieves an SA-CA-CC score no worse than

@@ -101,8 +101,8 @@ impl Table {
     }
 }
 
-/// Formats a float with 4 significant decimals, or "—" for NaN (used for
-/// the Exact entries the paper could not compute either).
+/// Formats a float with 4 significant decimals, or "—" for NaN (a cell
+/// with no value, such as a method that found no team for any project).
 pub fn fmt_val(v: f64) -> String {
     if v.is_nan() {
         "—".to_string()

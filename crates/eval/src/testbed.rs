@@ -63,18 +63,6 @@ impl Scale {
             Scale::Paper => 10_000,
         }
     }
-
-    /// Whether the Exact baseline is attempted for a given skill count.
-    /// Exhaustive search is intractable beyond 6 skills (the paper's own
-    /// finding) and, on our time budgets, beyond 4 skills once the graph
-    /// grows past the tiny scale.
-    pub fn exact_feasible(self, num_skills: usize) -> bool {
-        match self {
-            Scale::Tiny => num_skills <= 6,
-            Scale::Small => num_skills <= 4,
-            Scale::Medium | Scale::Paper => false,
-        }
-    }
 }
 
 /// A network + engine pair with aligned node ids.
@@ -130,25 +118,6 @@ mod tests {
         assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("galactic"), None);
-    }
-
-    #[test]
-    fn exact_gating_matches_paper() {
-        assert!(Scale::Tiny.exact_feasible(4));
-        assert!(Scale::Tiny.exact_feasible(6));
-        assert!(
-            !Scale::Tiny.exact_feasible(8),
-            "paper: Exact dies at 8 skills"
-        );
-        assert!(Scale::Small.exact_feasible(4));
-        assert!(
-            !Scale::Small.exact_feasible(6),
-            "budgeted out at small scale"
-        );
-        assert!(
-            !Scale::Paper.exact_feasible(4),
-            "full scale is too big for exact"
-        );
     }
 
     #[test]

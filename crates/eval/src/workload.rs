@@ -16,8 +16,8 @@ pub struct WorkloadConfig {
     /// Only sample skills with at least this many holders (prevents
     /// degenerate single-holder projects).
     pub min_holders: usize,
-    /// Only sample skills with at most this many holders (keeps `Exact`'s
-    /// assignment space within the paper's feasible range).
+    /// Only sample skills with at most this many holders (leaves out the
+    /// most common skills).
     pub max_holders: usize,
     /// RNG seed.
     pub seed: u64,

@@ -6,8 +6,10 @@
 //! ```
 //!
 //! Defaults: 800 authors, 2 workers, 2 swaps. Prints latency
-//! percentiles, the snapshot versions observed by clients, and the full
-//! service counter set.
+//! percentiles, the snapshot versions observed by clients, the requests
+//! shed at admission or expired apart from hard errors, and the full
+//! service counter set. Panics on any hard error or if the service's
+//! outcome ledger does not balance.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -122,7 +124,7 @@ fn main() {
         clients.push(std::thread::spawn(move || {
             let mut latencies = Vec::new();
             let mut versions = Vec::new();
-            let mut errors = 0usize;
+            let mut failures = Vec::new();
             let mut i = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 let mut req = Request::new(
@@ -139,12 +141,11 @@ fn main() {
                         latencies.push(sent.elapsed());
                         versions.push(resp.snapshot_version);
                     }
-                    Err(ServeError::DeadlineExceeded) => {}
-                    Err(_) => errors += 1,
+                    Err(e) => failures.push(e),
                 }
                 i += 1;
             }
-            (latencies, versions, errors)
+            (latencies, versions, failures)
         }));
     }
 
@@ -154,23 +155,39 @@ fn main() {
 
     let mut latencies = Vec::new();
     let mut versions = Vec::new();
-    let mut errors = 0usize;
+    let mut failures = Vec::new();
     for h in clients {
-        let (l, v, e) = h.join().expect("client");
+        let (l, v, f) = h.join().expect("client");
         latencies.extend(l);
         versions.extend(v);
-        errors += e;
+        failures.extend(f);
     }
+    // Refusals at admission, the doomed requests' among them, are sheds
+    // and not errors.
+    let (expired, rest): (Vec<_>, Vec<_>) = failures
+        .into_iter()
+        .partition(|e| matches!(e, ServeError::DeadlineExceeded));
+    let (shed, hard_errors): (Vec<_>, Vec<_>) = rest.into_iter().partition(|e| {
+        matches!(
+            e,
+            ServeError::Overloaded { .. }
+                | ServeError::DeadlineInfeasible { .. }
+                | ServeError::BrownoutShed
+        )
+    });
     latencies.sort_unstable();
     versions.sort_unstable();
     versions.dedup();
 
     println!();
     println!(
-        "workload: {} successful responses across snapshot versions {:?}, {} hard errors",
+        "workload: {} successful responses across snapshot versions {:?}; \
+         {} shed at admission, {} expired, {} hard errors",
         latencies.len(),
         versions,
-        errors
+        shed.len(),
+        expired.len(),
+        hard_errors.len()
     );
     println!(
         "latency: p50 {:.2?}  p90 {:.2?}  p99 {:.2?}  max {:.2?}",
@@ -179,6 +196,12 @@ fn main() {
         percentile(&latencies, 0.99),
         latencies.last().copied().unwrap_or_default()
     );
-    println!("counters: {}", service.stats());
+    let stats = service.stats();
+    println!("counters: {stats}");
     println!("final snapshot: v{}", service.current_version());
+    assert!(
+        hard_errors.is_empty(),
+        "hard errors {hard_errors:?}: {stats}"
+    );
+    assert!(stats.reconciles(), "ledger out of balance: {stats}");
 }

@@ -68,7 +68,7 @@ pub use atd_graph as graph;
 
 /// Convenience re-exports covering the common workflow.
 pub mod prelude {
-    pub use atd_core::exact::{ExactConfig, ExactTeamFinder};
+    pub use atd_core::exact::ExactTeamFinder;
     pub use atd_core::greedy::Discovery;
     pub use atd_core::objectives::{ObjectiveWeights, TeamScore};
     pub use atd_core::pareto::pareto_front;

@@ -4,11 +4,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use team_discovery::core::exact::{ExactConfig, ExactTeamFinder};
+use team_discovery::core::exact::ExactTeamFinder;
 use team_discovery::core::objectives::ObjectiveWeights;
 use team_discovery::core::random::RandomTeamFinder;
 use team_discovery::core::sa_only::best_sa_team;
 use team_discovery::core::strategy::Strategy;
+use team_discovery::core::DiscoveryError;
 use team_discovery::dblp::graph_build::{BuildConfig, ExpertNetwork};
 use team_discovery::dblp::synth::{SynthConfig, SynthCorpus};
 use team_discovery::prelude::*;
@@ -40,7 +41,7 @@ fn exact_lower_bounds_greedy_and_random_on_dblp_graph() {
     let (gamma, lambda) = (0.6, 0.6);
     let weights = ObjectiveWeights::new(gamma, lambda).unwrap();
 
-    let exact = ExactTeamFinder::new(&net.graph, &net.skills, ExactConfig::new(weights))
+    let exact = ExactTeamFinder::new(&net.graph, &net.skills, weights)
         .best(&project)
         .expect("exact");
 
@@ -80,11 +81,10 @@ fn greedy_is_close_to_exact_like_figure3() {
             continue;
         }
         let project = Project::new(chunk.to_vec());
-        let exact = match ExactTeamFinder::new(&net.graph, &net.skills, ExactConfig::new(weights))
-            .best(&project)
-        {
+        let exact = match ExactTeamFinder::new(&net.graph, &net.skills, weights).best(&project) {
             Ok(e) => e,
-            Err(_) => continue, // disconnected or oversized — skip
+            Err(DiscoveryError::NoTeamFound) => continue, // holders in different components
+            Err(e) => panic!("exact failed on {project:?}: {e}"),
         };
         let Ok(greedy) = engine.best(&project, Strategy::SaCaCc { gamma, lambda }) else {
             continue;
@@ -128,7 +128,7 @@ fn gamma_one_solves_problem_two_connector_authority() {
     let net = network(31, 280);
     let project = pick_project(&net, 3, 10);
     let weights = ObjectiveWeights::new(1.0, 0.0).unwrap();
-    let exact = ExactTeamFinder::new(&net.graph, &net.skills, ExactConfig::new(weights))
+    let exact = ExactTeamFinder::new(&net.graph, &net.skills, weights)
         .best(&project)
         .expect("exact CA optimum");
     let engine = Discovery::new(net.graph.clone(), net.skills.clone()).expect("engine");
@@ -168,7 +168,7 @@ fn replacement_repairs_discovered_teams_on_dblp_graph() {
                 // Only acceptable failure: the member is irreplaceable or
                 // the team disconnects without them.
                 assert!(
-                    matches!(e, team_discovery::core::DiscoveryError::NoTeamFound),
+                    matches!(e, DiscoveryError::NoTeamFound),
                     "unexpected error {e}"
                 );
             }
@@ -185,7 +185,7 @@ fn sa_only_solver_matches_exact_at_lambda_one() {
     let exact = ExactTeamFinder::new(
         &net.graph,
         &net.skills,
-        ExactConfig::new(ObjectiveWeights::new(0.6, 1.0).unwrap()),
+        ObjectiveWeights::new(0.6, 1.0).unwrap(),
     )
     .best(&project);
 
